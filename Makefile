@@ -1,10 +1,13 @@
 # Tier-1 verification and development targets.
 #
-# `make tier1` is the CI gate: build, vet, and the full test suite under
-# the race detector (the fault-injection and resilience tests exercise
-# heavy goroutine churn, so they must stay race-clean). `make fuzz` runs
+# `make tier1` is the CI gate: build, the serving self-test, vet, and one
+# run of the full test suite under the race detector (the fault-injection
+# and resilience tests exercise heavy goroutine churn, so they must stay
+# race-clean). The race-* targets race-check subsets of that same suite
+# as inner-loop shortcuts; tier1 does not repeat them. `make fuzz` runs
 # the parser/artifact fuzz targets for a short burst — not part of tier1,
-# but run it after touching the CSV loader or the model artifact codec.
+# but run it after touching the CSV loader, the model artifact codec or
+# the serving query decoder.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -12,7 +15,7 @@ FUZZTIME ?= 5s
 .PHONY: tier1 build vet test race race-core race-parallel race-fleet race-ingest race-load race-abr parity bench bench-json bench-serve bench-fleet bench-ingest bench-load bench-abr fmt fuzz
 
 tier1: ## build + vet + race-enabled test suite (run `make fuzz` too when touching parsers)
-	$(GO) build ./... && $(GO) build -o bin/lumosbench ./cmd/lumosbench && ./bin/lumosbench -selftest && $(GO) vet ./... && $(GO) test -race ./internal/obs/... ./internal/mapserver/... && $(MAKE) race-fleet && $(MAKE) race-ingest && $(MAKE) race-load && $(MAKE) race-abr && $(GO) test -race ./...
+	$(GO) build ./... && $(GO) build -o bin/lumosbench ./cmd/lumosbench && ./bin/lumosbench -selftest && $(GO) vet ./... && $(GO) test -race ./...
 
 build:
 	$(GO) build ./...
@@ -74,10 +77,10 @@ bench-json:
 	$(GO) run ./cmd/lumosbench -parbench BENCH_parallel.json
 
 # Serving fast-path report: compiled-vs-interpreted inference kernels
-# (tree and LSTM, each with a bit-identity check and an int8 error
-# budget), /predict handler allocations cold vs cached vs server-only,
-# the JSON and binary /predict/batch encodings, and the pre-PR handler
-# baseline for the alloc comparison. The same parity and budget gates
+# (tree and LSTM, each with a bit-identity check), /predict handler
+# allocations cold vs cached vs server-only, the JSON and binary
+# /predict/batch encodings, and the pre-PR handler baseline for the
+# alloc comparison. The same parity and budget gates
 # run without timing loops as `lumosbench -selftest`, wired into tier1.
 bench-serve:
 	$(GO) run ./cmd/lumosbench -servebench BENCH_serve.json
@@ -116,6 +119,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIngestSample -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledParity -fuzztime=$(FUZZTIME) ./internal/ml/compiled
 	$(GO) test -run='^$$' -fuzz=FuzzSimulate -fuzztime=$(FUZZTIME) ./internal/abr
+	$(GO) test -run='^$$' -fuzz=FuzzParseQuery -fuzztime=$(FUZZTIME) ./internal/wire
 
 fmt:
 	gofmt -w ./cmd ./internal ./examples *.go

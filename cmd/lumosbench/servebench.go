@@ -24,8 +24,7 @@ import (
 // compiled structure-of-arrays tree kernel against the interpreted
 // per-row walk (serial and parallel, with a bit-identity check), the
 // compiled LSTM kernel against the interpreted nn forward pass
-// (bit-identity for float64, bounded error + pinned fingerprint for
-// int8), and the HTTP handlers — /predict cold vs cached, JSON batch vs
+// (bit-identity), and the HTTP handlers — /predict cold vs cached, JSON batch vs
 // the columnar binary frame. It writes the numbers as BENCH_serve.json,
 // alongside the pre-kernel handler baseline so the allocation reduction
 // is auditable in one file.
@@ -42,10 +41,6 @@ import (
 // comparability with the pre-PR baseline, which includes ~17 allocs of
 // per-op harness floor.
 const predictAllocBudget = 12
-
-// lstmInt8ErrBudget bounds the int8 kernel's relative error against the
-// float64 kernel (same budget the compiled-package tests pin).
-const lstmInt8ErrBudget = 0.05
 
 // kernelBenchEntry is one model-level timing (fastest of kernelRuns
 // runs, so one noisy neighbour does not poison the row).
@@ -72,22 +67,6 @@ type lstmKernelReport struct {
 	// Identical: the compiled float64 kernel reproduced the interpreted
 	// nn forward pass bit for bit on every probe.
 	Identical bool `json:"identical"`
-	// Int8MaxRelErr is the quantized kernel's worst error vs the float
-	// kernel, relative to max(|prediction|, output scale) — the scale
-	// floor keeps a sub-Mbps wobble on a near-zero output from reading
-	// as a huge "relative" error when the signal lives in the hundreds
-	// of Mbps. Int8ErrBudget is the checked-in bound.
-	Int8MaxRelErr float64 `json:"int8_max_rel_err"`
-	Int8ErrBudget float64 `json:"int8_err_budget"`
-	// OutputScale is the mean absolute float-kernel prediction the
-	// error denominator floors at.
-	OutputScale float64 `json:"output_scale"`
-	// Int8Fingerprint pins the quantized weights (FNV-1a over every
-	// int8 byte and scale bit pattern).
-	Int8Fingerprint string `json:"int8_fingerprint"`
-	// Int8WeightBytes is the quantized matrix footprint (8x smaller
-	// than the float64 slab).
-	Int8WeightBytes int `json:"int8_weight_bytes"`
 }
 
 // serveBenchReport is the BENCH_serve.json schema.
@@ -252,7 +231,7 @@ func benchPost(s http.Handler, url string, body []byte, contentType, accept stri
 
 // fitServeLSTM trains the recurrent reference model and compiles it:
 // the interpreted regressor stays as the parity oracle, its compiled
-// float64 kernel and int8 variant are what serving runs.
+// float64 kernel is what serving runs.
 func fitServeLSTM(X [][]float64, y []float64, seed uint64) (*nn.LSTMRegressor, [][][]float64, error) {
 	seqs := make([][][]float64, len(X))
 	for i, row := range X {
@@ -271,55 +250,28 @@ func fitServeLSTM(X [][]float64, y []float64, seed uint64) (*nn.LSTMRegressor, [
 	return m, seqs, nil
 }
 
-// lstmParity fills the report block: bit-identity of the float kernel
-// against the interpreted forward pass over every probe, and the int8
-// kernel's worst scale-relative error plus its pinned fingerprint.
+// lstmParity fills the report block: bit-identity of the compiled
+// kernel against the interpreted forward pass over every probe.
 func lstmParity(m *nn.LSTMRegressor, seqs [][][]float64) (lstmKernelReport, error) {
-	rep := lstmKernelReport{Identical: true, Int8ErrBudget: lstmInt8ErrBudget}
+	rep := lstmKernelReport{Identical: true}
 	k, err := m.Compiled()
 	if err != nil {
 		return rep, err
 	}
-	q := k.QuantizeInt8()
-	rep.Int8Fingerprint = fmt.Sprintf("%016x", q.Fingerprint())
-	rep.Int8WeightBytes = q.WeightBytes()
-	floats := make([]float64, len(seqs))
-	quants := make([]float64, len(seqs))
-	for i, seq := range seqs {
+	for _, seq := range seqs {
 		want, err := m.Predict(seq)
 		if err != nil {
 			return rep, err
 		}
-		if floats[i], err = k.PredictNext(seq); err != nil {
+		got, err := k.PredictNext(seq)
+		if err != nil {
 			return rep, err
 		}
-		if floats[i] != want {
+		if got != want {
 			rep.Identical = false
-		}
-		if quants[i], err = q.PredictNext(seq); err != nil {
-			return rep, err
-		}
-	}
-	for _, f := range floats {
-		rep.OutputScale += abs(f)
-	}
-	rep.OutputScale /= float64(len(floats))
-	if rep.OutputScale < 1 {
-		rep.OutputScale = 1
-	}
-	for i, f := range floats {
-		if rel := abs(quants[i]-f) / max(abs(f), rep.OutputScale); rel > rep.Int8MaxRelErr {
-			rep.Int8MaxRelErr = rel
 		}
 	}
 	return rep, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // buildBatchBodies renders the same batchN queries as the JSON array
@@ -522,7 +474,6 @@ func runServeBench(path string, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	lq := lk.QuantizeInt8()
 	rep.Kernel = append(rep.Kernel, kernelEntry("lstm_interpreted_single", 1,
 		fastest(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -535,14 +486,6 @@ func runServeBench(path string, seed uint64) error {
 		fastest(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if sinkFloat, err = lk.PredictNext(seqs[i%n]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})))
-	rep.Kernel = append(rep.Kernel, kernelEntry("lstm_compiled_int8_single", 1,
-		fastest(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if sinkFloat, err = lq.PredictNext(seqs[i%n]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -618,8 +561,7 @@ func runServeBench(path string, seed uint64) error {
 	}
 	fmt.Printf("batch speedup: %.2fx serial, %.2fx parallel  identical=%t\n",
 		rep.BatchSpeedupSerial, rep.BatchSpeedupParallel, rep.Identical)
-	fmt.Printf("lstm: identical=%t  int8 max rel err %.2e (budget %.2e)  fingerprint %s\n",
-		rep.LSTM.Identical, rep.LSTM.Int8MaxRelErr, rep.LSTM.Int8ErrBudget, rep.LSTM.Int8Fingerprint)
+	fmt.Printf("lstm: identical=%t\n", rep.LSTM.Identical)
 	for _, h := range rep.Handlers {
 		fmt.Printf("%-27s %9.0f ns/op  %4d allocs/op  %6d B/op  %10.0f q/s\n",
 			h.Name, h.NsPerOp, h.AllocsPerOp, h.BytesPerOp, h.QPS)
@@ -642,9 +584,6 @@ func serveBenchVerdict(treeIdentical bool, lstm lstmKernelReport, binaryOK bool,
 		return fmt.Errorf("servebench: compiled tree kernel diverged from interpreted Predict")
 	case !lstm.Identical:
 		return fmt.Errorf("servebench: compiled LSTM kernel diverged from interpreted forward pass")
-	case lstm.Int8MaxRelErr > lstm.Int8ErrBudget:
-		return fmt.Errorf("servebench: int8 LSTM kernel error %.4f exceeds budget %.4f",
-			lstm.Int8MaxRelErr, lstm.Int8ErrBudget)
 	case !binaryOK:
 		return fmt.Errorf("servebench: binary /predict/batch diverged from the JSON rows")
 	case predictAllocs > predictAllocBudget:
@@ -699,8 +638,7 @@ func runServeSelftest(seed uint64) error {
 	if err != nil {
 		return fmt.Errorf("selftest: lstm parity: %w", err)
 	}
-	fmt.Printf("selftest: lstm identical=%t int8 max rel err %.2e (budget %.2e) fingerprint %s\n",
-		lstm.Identical, lstm.Int8MaxRelErr, lstm.Int8ErrBudget, lstm.Int8Fingerprint)
+	fmt.Printf("selftest: lstm identical=%t\n", lstm.Identical)
 
 	tm := lumos5g.BuildThroughputMap(clean, 3)
 	pred, err := lumos5g.Train(clean, lumos5g.GroupLM, lumos5g.ModelGDBT, lumos5g.Scale{Seed: seed})

@@ -8,7 +8,9 @@ import (
 // Per-field value validation shared by the CSV loaders and the live
 // ingest gate (internal/ingest): one table of physical ranges, so a row
 // the lenient loader quarantines is exactly a sample the ingest endpoint
-// rejects, with the same reason label. The bounds are deliberately
+// rejects, with the same reason label. The serving query decoder
+// (internal/wire) takes its lat/lon/speed/bearing bounds from the same
+// table. The bounds are deliberately
 // physical-plausibility bounds (can this number come from the sensor at
 // all?), not model-quality bounds — the stricter serving-time ranges in
 // internal/features decide whether a value is *usable*, this table
@@ -60,9 +62,9 @@ var recordBounds = []fieldBound{
 }
 
 // FieldBounds returns the validated field names with their [lo, hi]
-// physical ranges — exported so tests (and the ingest gate's docs) can
-// cross-check this table against internal/features.ValidRange without an
-// import cycle.
+// physical ranges — exported for the serving query bounds
+// (internal/wire) and so tests can cross-check this table against
+// internal/features.ValidRange without an import cycle.
 func FieldBounds() map[string][2]float64 {
 	out := make(map[string][2]float64, len(recordBounds))
 	for _, b := range recordBounds {

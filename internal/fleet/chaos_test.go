@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"lumos5g/internal/mapserver"
+	"lumos5g/internal/wire"
 )
 
 // Chaos suite: every test here starts a real fleet — replicated
@@ -204,9 +205,9 @@ func TestBatchPartialAndCounterInvariant(t *testing.T) {
 	}
 
 	// Build and send the batch through the router.
-	queries := make([]batchQuery, len(points))
+	queries := make([]wire.Query, len(points))
 	for i, p := range points {
-		queries[i] = batchQuery{Lat: p[0], Lon: p[1]}
+		queries[i] = wire.Query{Lat: p[0], Lon: p[1]}
 	}
 	body, _ := json.Marshal(queries)
 	rec := httptest.NewRecorder()

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"lumos5g/internal/mapserver"
 	"lumos5g/internal/wire"
@@ -90,67 +89,5 @@ func TestFleetBatchBinaryByteIdentity(t *testing.T) {
 		if br.Mbps == nil || *br.Mbps != rows[i].Mbps {
 			t.Fatalf("row %d: JSON mbps %v != binary mbps %v", i, br.Mbps, rows[i].Mbps)
 		}
-	}
-}
-
-// TestRouterPredictCache covers the opt-in router-side response cache:
-// a repeat query serves from the router (X-Fleet-Cache: hit, identical
-// body, hit counter), and SetTopology drops the cache wholesale.
-func TestRouterPredictCache(t *testing.T) {
-	cfg := testFleetConfig()
-	cfg.Router.PredictCacheSize = 64
-	f := startTestFleet(t, cfg)
-	rt := f.Router()
-	_, _, points := fixture(t)
-
-	get := func(i int) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, predictURL(points[i%len(points)], true, i), nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("query %d: %d %s", i, rec.Code, rec.Body.String())
-		}
-		return rec
-	}
-
-	first := get(3)
-	if first.Header().Get("X-Fleet-Cache") == "hit" {
-		t.Fatal("cold query served from cache")
-	}
-	second := get(3)
-	if second.Header().Get("X-Fleet-Cache") != "hit" {
-		t.Fatal("repeat query did not hit the cache")
-	}
-	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
-		t.Fatalf("cached body diverged: %s vs %s", first.Body.String(), second.Body.String())
-	}
-	if second.Header().Get("X-Fleet-Shard") == "" || second.Header().Get("X-Fleet-Replica") == "" {
-		t.Fatal("cached answer lost its shard/replica attribution")
-	}
-	if hits := rt.m.cacheHits.Value(); hits != 1 {
-		t.Fatalf("cacheHits = %v, want 1", hits)
-	}
-	if misses := rt.m.cacheMisses.Value(); misses < 1 {
-		t.Fatalf("cacheMisses = %v, want >= 1", misses)
-	}
-	if n := rt.pcache.Load().size(); n != 1 {
-		t.Fatalf("cache holds %d entries, want 1", n)
-	}
-
-	// A topology change invalidates everything: answers routed under the
-	// old topology must not outlive it.
-	rt.SetTopology(f.Topology())
-	if n := rt.pcache.Load().size(); n != 0 {
-		t.Fatalf("cache holds %d entries after SetTopology", n)
-	}
-	third := get(3)
-	if third.Header().Get("X-Fleet-Cache") == "hit" {
-		t.Fatal("query served from cache across a topology change")
-	}
-
-	// Default config keeps the cache off entirely.
-	off := NewRouter(f.Topology(), RouterConfig{ProbeInterval: time.Minute})
-	t.Cleanup(off.Close)
-	if off.pcache.Load() != nil {
-		t.Fatal("cache enabled without PredictCacheSize")
 	}
 }

@@ -31,11 +31,6 @@ type routerMetrics struct {
 
 	probeFails   *obs.Counter // fleet_probe_failures_total
 	rollupErrors *obs.Counter // fleet_rollup_scrape_failures_total
-
-	// Router-side /predict response cache (cache.go; zero forever when
-	// the cache is disabled).
-	cacheHits   *obs.Counter // fleet_predict_cache_hits_total
-	cacheMisses *obs.Counter // fleet_predict_cache_misses_total
 }
 
 func newRouterMetrics(rt *Router) *routerMetrics {
@@ -64,19 +59,7 @@ func newRouterMetrics(rt *Router) *routerMetrics {
 			"Health probes that found a replica unreachable or unhealthy."),
 		rollupErrors: r.NewCounter("fleet_rollup_scrape_failures_total",
 			"Replica /metrics scrapes that failed during a rollup."),
-		cacheHits: r.NewCounter("fleet_predict_cache_hits_total",
-			"Router-side /predict cache hits (no replica round trip)."),
-		cacheMisses: r.NewCounter("fleet_predict_cache_misses_total",
-			"Router-side /predict cache misses fetched from a replica."),
 	}
-	r.NewGaugeFunc("fleet_predict_cache_entries",
-		"Entries in the router-side /predict cache (0 when disabled).",
-		func() float64 {
-			if c := rt.pcache.Load(); c != nil {
-				return float64(c.size())
-			}
-			return 0
-		})
 	r.NewGaugeFunc("fleet_shards",
 		"Shards in the current topology.",
 		func() float64 {

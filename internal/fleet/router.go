@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -16,6 +14,7 @@ import (
 	"lumos5g/internal/engine"
 	"lumos5g/internal/obs"
 	"lumos5g/internal/rng"
+	"lumos5g/internal/wire"
 )
 
 // Router is the fleet's front door. It owns no model and no map — it
@@ -31,11 +30,6 @@ type Router struct {
 
 	topo atomic.Pointer[Topology]
 	pb   *prober
-
-	// pcache is the optional router-side /predict response cache (nil
-	// when PredictCacheSize is 0, the default). Replaced wholesale on
-	// SetTopology so membership changes drop every cached answer.
-	pcache atomic.Pointer[routerCache]
 
 	jmu sync.Mutex
 	jit *rng.Source // jittered backoff; seeded for reproducible tests
@@ -64,13 +58,6 @@ type RouterConfig struct {
 	// BreakerCooldown (defaults 3 / 1s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// MaxBatchRows caps one /predict/batch request (default 10000).
-	MaxBatchRows int
-	// PredictCacheSize enables the router-side /predict response cache
-	// with that many quantized-key entries (see cache.go). 0 — the
-	// default — disables it: the router cannot observe replica model
-	// reloads, so enabling it accepts bounded staleness.
-	PredictCacheSize int
 	// Seed seeds the backoff jitter (0 = a fixed default; tests pass
 	// their own for reproducibility).
 	Seed uint64
@@ -95,9 +82,6 @@ func (c *RouterConfig) fill() {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 250 * time.Millisecond
 	}
-	if c.MaxBatchRows <= 0 {
-		c.MaxBatchRows = 10000
-	}
 	if c.Seed == 0 {
 		c.Seed = 0x10_5106 // any fixed value; jitter needs spread, not secrecy
 	}
@@ -115,9 +99,6 @@ func NewRouter(topo *Topology, cfg RouterConfig) *Router {
 	cfg.fill()
 	rt := &Router{cfg: cfg, client: cfg.Client, jit: rng.New(cfg.Seed), mux: http.NewServeMux()}
 	rt.topo.Store(topo)
-	if cfg.PredictCacheSize > 0 {
-		rt.pcache.Store(newRouterCache(cfg.PredictCacheSize))
-	}
 	rt.m = newRouterMetrics(rt)
 	for _, sh := range topo.Shards {
 		for _, rep := range sh.Replicas {
@@ -158,11 +139,6 @@ func (rt *Router) SetTopology(t *Topology) {
 		}
 	}
 	rt.topo.Store(t)
-	// A membership change invalidates the response cache wholesale:
-	// answers routed under the old topology must not outlive it.
-	if rt.cfg.PredictCacheSize > 0 {
-		rt.pcache.Store(newRouterCache(rt.cfg.PredictCacheSize))
-	}
 }
 
 // Metrics returns the router's own registry (fleet_* instruments).
@@ -361,68 +337,17 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
-	q := r.URL.Query()
-	lat, err := parseFloatParam(q.Get("lat"), "lat", -90, 90, true)
-	if err != nil {
+	var q wire.QueryParams
+	if err := wire.ParseQuery(r.URL.RawQuery, &q); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	lon, err := parseFloatParam(q.Get("lon"), "lon", -180, 180, true)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	speed, bearing, err := parseSensors(q.Get("speed"), q.Get("bearing"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	key := RouteKey(lat, lon, speed, bearing)
-	cands := rt.predictCandidates(key)
+	cands := rt.predictCandidates(RouteKey(q.Lat, q.Lon, q.Speed, q.Bearing))
 	if len(cands) == 0 {
 		writeError(w, http.StatusServiceUnavailable, "no shards in topology")
 		return
 	}
-	cache := rt.pcache.Load()
-	if cache == nil {
-		rt.hedgedGET(w, r, cands, "/predict", r.URL.RawQuery)
-		return
-	}
-	// The intervals negotiation (forwarded verbatim to the replica)
-	// changes the response bytes, so it is part of the cache identity.
-	iv := q.Get("intervals")
-	ckey := rcKey{Key: key, ival: iv == "1" || iv == "true"}
-	e, leader := cache.acquire(ckey)
-	if !leader {
-		<-e.ready
-		if e.body != nil {
-			rt.m.cacheHits.Inc()
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Fleet-Shard", e.shard)
-			w.Header().Set("X-Fleet-Replica", e.replica)
-			w.Header().Set("X-Fleet-Cache", "hit")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(e.body)
-			return
-		}
-		// The leader abandoned the entry (every candidate failed, or a
-		// definitive client error): fetch for ourselves, uncached.
-		rt.m.cacheMisses.Inc()
-		rt.hedgedGET(w, r, cands, "/predict", r.URL.RawQuery)
-		return
-	}
-	rt.m.cacheMisses.Inc()
-	filled := false
-	defer func() {
-		if !filled {
-			cache.abandon(ckey, e)
-		}
-	}()
-	body, shardID, replicaID, served := rt.hedgedGET(w, r, cands, "/predict", r.URL.RawQuery)
-	if served {
-		cache.fill(e, body, shardID, replicaID)
-		filled = true
-	}
+	rt.hedgedGET(w, r, cands, "/predict", r.URL.RawQuery)
 }
 
 // hedgedGET is the failover engine shared by /predict: it walks the
@@ -432,10 +357,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 // first success. First 4xx forwards too: it is the same answer
 // everywhere. Only when every candidate has failed does the client see
 // a 503, with Retry-After when the fleet was shedding rather than dead.
-// The return values feed the optional response cache: the 200 body it
-// forwarded with its shard/replica attribution, served=false for every
-// other outcome (which must never be cached).
-func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []candidate, path, rawQuery string) (body []byte, shardID, replicaID string, served bool) {
+func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []candidate, path, rawQuery string) {
 	ctx := r.Context()
 	results := make(chan attemptResult, len(cands))
 	next, inFlight := 0, 0
@@ -487,7 +409,7 @@ func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []cand
 				w.Header().Set("X-Fleet-Replica", res.cand.rep.ID)
 				w.WriteHeader(http.StatusOK)
 				_, _ = w.Write(res.body)
-				return res.body, res.cand.shard.ID, res.cand.rep.ID, true
+				return
 			}
 			if res.definitive() {
 				if ct := res.header.Get("Content-Type"); ct != "" {
@@ -517,41 +439,4 @@ func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []cand
 			}
 		}
 	}
-}
-
-// parseFloatParam parses one query parameter as a finite float in
-// [lo, hi]. required distinguishes "must be present" from optional.
-func parseFloatParam(raw, name string, lo, hi float64, required bool) (float64, error) {
-	if raw == "" {
-		if required {
-			return 0, fmt.Errorf("missing required parameter %q", name)
-		}
-		return 0, nil
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < lo || v > hi {
-		return 0, fmt.Errorf("%s must be a number in [%g, %g]", name, lo, hi)
-	}
-	return v, nil
-}
-
-// parseSensors parses the optional speed/bearing parameters with the
-// same ranges the replicas enforce, so a query the router accepts is
-// never rejected downstream.
-func parseSensors(rawSpeed, rawBearing string) (speed, bearing *float64, err error) {
-	if rawSpeed != "" {
-		v, perr := parseFloatParam(rawSpeed, "speed (km/h)", 0, 500, false)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		speed = &v
-	}
-	if rawBearing != "" {
-		v, perr := parseFloatParam(rawBearing, "bearing (degrees)", -360, 360, false)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		bearing = &v
-	}
-	return speed, bearing, nil
 }

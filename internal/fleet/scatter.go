@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -24,16 +23,6 @@ import (
 // shard-owned data: a fallback shard does not hold the dead shard's
 // map slice, so pretending it can answer would be a wrong answer with
 // a healthy status code.
-
-// batchQuery is one row of the /predict/batch request body, identical
-// to the replica wire form so sub-batches forward without re-encoding
-// semantics.
-type batchQuery struct {
-	Lat     float64  `json:"lat"`
-	Lon     float64  `json:"lon"`
-	Speed   *float64 `json:"speed,omitempty"`
-	Bearing *float64 `json:"bearing,omitempty"`
-}
 
 // BatchRow is one row of the fleet batch answer: the replica's
 // prediction plus shard provenance, or an explicit failure marker.
@@ -101,35 +90,6 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// decodeBatch reads the /predict/batch request body as either the
-// binary frame (Content-Type: wire.ContentType) or the JSON default,
-// returning the rows in wire form. A non-empty errMsg is a 400.
-func (rt *Router) decodeBatch(r *http.Request) (queries []wire.Query, errMsg string) {
-	if r.Header.Get("Content-Type") == wire.ContentType {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			return nil, "unreadable request body"
-		}
-		qs, err := wire.DecodeQueries(body, rt.cfg.MaxBatchRows)
-		if err != nil {
-			return nil, fmt.Sprintf("bad binary batch frame: %v", err)
-		}
-		return qs, ""
-	}
-	var jqs []batchQuery
-	if err := json.NewDecoder(r.Body).Decode(&jqs); err != nil {
-		return nil, "body must be a JSON array of {lat, lon[, speed][, bearing]} queries"
-	}
-	if len(jqs) > rt.cfg.MaxBatchRows {
-		return nil, fmt.Sprintf("batch too large: %d queries (max %d)", len(jqs), rt.cfg.MaxBatchRows)
-	}
-	queries = make([]wire.Query, len(jqs))
-	for i, q := range jqs {
-		queries[i] = wire.Query{Lat: q.Lat, Lon: q.Lon, Speed: q.Speed, Bearing: q.Bearing}
-	}
-	return queries, ""
-}
-
 // handleBatch scatters the batch across owning shards and gathers an
 // explicitly-partial answer. Sub-batches forward to replicas as binary
 // frames regardless of the client encoding — the replicas always speak
@@ -150,33 +110,20 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, 16<<20)
-	queries, errMsg := rt.decodeBatch(r)
-	if errMsg != "" {
-		writeError(w, http.StatusBadRequest, errMsg)
+	// The replicas' own decoder: a bad row or an oversized batch is
+	// rejected here, instead of failing one shard's whole sub-batch
+	// downstream.
+	queries, err := wire.DecodeBatch(r.Header.Get("Content-Type"), r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if len(queries) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	// Validate every row up front with the replicas' own ranges, so a
-	// bad row rejects the batch here instead of poisoning one shard's
-	// whole sub-batch downstream.
-	for i := range queries {
-		if err := validateQuery(&queries[i]); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("query %d: %v", i, err))
-			return
-		}
 	}
 
 	// Interval negotiation: an interval Accept or ?intervals=1 asks the
 	// replicas for the v2 frame (DecodeResults reads either version, so
 	// the gather loop needs no flavor plumbing).
 	accept := r.Header.Get("Accept")
-	wantIval := accept == wire.ContentTypeIntervals
-	if iv := r.URL.Query().Get("intervals"); iv == "1" || iv == "true" {
-		wantIval = true
-	}
+	wantIval := accept == wire.ContentTypeIntervals || wire.WantIntervals(r.URL.RawQuery)
 	subAccept := wire.ContentType
 	if wantIval {
 		subAccept = wire.ContentTypeIntervals
@@ -298,33 +245,6 @@ func shardFailureReason(sh *Shard, res attemptResult) string {
 	default:
 		return fmt.Sprintf("shard %s returned an unusable answer", sh.ID)
 	}
-}
-
-func validateQuery(q *wire.Query) error {
-	if err := checkRange(q.Lat, "lat", -90, 90); err != nil {
-		return err
-	}
-	if err := checkRange(q.Lon, "lon", -180, 180); err != nil {
-		return err
-	}
-	if q.Speed != nil {
-		if err := checkRange(*q.Speed, "speed (km/h)", 0, 500); err != nil {
-			return err
-		}
-	}
-	if q.Bearing != nil {
-		if err := checkRange(*q.Bearing, "bearing (degrees)", -360, 360); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func checkRange(v float64, name string, lo, hi float64) error {
-	if v != v || v < lo || v > hi { // v != v catches NaN; ±Inf fails the bounds
-		return fmt.Errorf("%s must be in [%g, %g]", name, lo, hi)
-	}
-	return nil
 }
 
 // cellJSON mirrors one replica /cells.json element; the router merges

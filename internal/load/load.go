@@ -39,6 +39,7 @@ import (
 	"lumos5g/internal/geo"
 	"lumos5g/internal/ingest"
 	"lumos5g/internal/rng"
+	"lumos5g/internal/wire"
 )
 
 // Route names match the serving paths they exercise.
@@ -85,8 +86,8 @@ type Config struct {
 	MixIngest  float64
 
 	// BatchSize is queries per /predict/batch request (default 32,
-	// capped at the server's 4096 bound). IngestBatch is samples per
-	// POST /ingest (default 64).
+	// capped at wire.MaxBatchQueries). IngestBatch is samples per POST
+	// /ingest (default 64).
 	BatchSize   int
 	IngestBatch int
 
@@ -120,8 +121,8 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
 	}
-	if c.BatchSize > 4096 {
-		c.BatchSize = 4096
+	if c.BatchSize > wire.MaxBatchQueries {
+		c.BatchSize = wire.MaxBatchQueries
 	}
 	if c.IngestBatch <= 0 {
 		c.IngestBatch = 64

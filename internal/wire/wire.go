@@ -1,6 +1,7 @@
 // Package wire implements the compact columnar binary encoding of the
 // batch prediction API — the allocation- and bandwidth-lean alternative
-// the server and the fleet router negotiate next to the JSON default.
+// the server and the fleet router negotiate next to the JSON default —
+// and the one query decoder and validator both of them use (query.go).
 //
 // Frames are little-endian and fully deterministic: encoding the same
 // logical queries or results always yields the same bytes, which is
@@ -71,12 +72,15 @@ const (
 	respMagic = "L5GR"
 )
 
-// Query is one batch prediction query. Nil Speed/Bearing mean the
-// sensor reading is absent (the chain demotes to a smaller tier),
-// exactly like the JSON form's missing fields.
+// Query is one prediction query, and one row of the JSON batch form.
+// Nil Speed/Bearing mean the sensor reading is absent (the chain
+// demotes to a smaller tier), exactly like the JSON form's missing
+// fields.
 type Query struct {
-	Lat, Lon       float64
-	Speed, Bearing *float64
+	Lat     float64  `json:"lat"`
+	Lon     float64  `json:"lon"`
+	Speed   *float64 `json:"speed,omitempty"`
+	Bearing *float64 `json:"bearing,omitempty"`
 }
 
 // Result is one batch prediction answer. Group is not carried — it
