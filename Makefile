@@ -63,9 +63,10 @@ race-abr:
 	$(GO) test -race ./internal/abr/... ./internal/mapserver/... ./internal/fleet/... .
 
 # The serial-vs-parallel parity audit: byte-identical campaigns, models
-# and batch predictions across worker counts.
+# and batch predictions across worker counts, plus the golden digests of
+# feature matrices and engine answers.
 parity:
-	$(GO) test -race -run 'Parallel|Parity|Refit|Batch|Split|CheckpointEncode' ./internal/sim/... ./internal/ml/... ./internal/rng/... ./internal/mapserver/... .
+	$(GO) test -race -run 'Parallel|Parity|Refit|Batch|Split|CheckpointEncode|Golden' ./internal/sim/... ./internal/ml/... ./internal/rng/... ./internal/mapserver/... ./internal/features/... ./internal/engine/... .
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

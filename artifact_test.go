@@ -142,6 +142,41 @@ func TestLoadLegacyBareGobArtifact(t *testing.T) {
 	}
 }
 
+// A stored column list must be exactly the group's: an unknown or
+// reordered name would load a tier that never serves or is fed columns
+// in the wrong order.
+func TestLoadPredictorRejectsWrongNames(t *testing.T) {
+	p, _ := savedPredictorBytes(t)
+	var model bytes.Buffer
+	if err := p.reg.(*gbdt.Model).Save(&model); err != nil {
+		t.Fatal(err)
+	}
+	names := p.FeatureNames()
+	unknown := append([]string(nil), names...)
+	unknown[len(unknown)-1] = "compass_tan"
+	swapped := append([]string(nil), names...)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	for label, stored := range map[string][]string{"unknown name": unknown, "swapped order": swapped} {
+		var payload bytes.Buffer
+		err := gob.NewEncoder(&payload).Encode(predictorDTO{
+			Version: predictorWireVersion,
+			Group:   p.Group().String(),
+			Names:   stored,
+			Model:   model.Bytes(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var art bytes.Buffer
+		if err := writeEnvelope(&art, magicPredictor, payload.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadPredictor(&art); !errors.Is(err, ErrArtifactCorrupt) {
+			t.Errorf("%s %v: err = %v, want ErrArtifactCorrupt", label, stored, err)
+		}
+	}
+}
+
 func TestSaveFileAtomicAndFileLoaders(t *testing.T) {
 	dir := t.TempDir()
 	c, _ := trainTestChain(t)

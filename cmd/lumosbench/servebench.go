@@ -277,19 +277,13 @@ func lstmParity(m *nn.LSTMRegressor, seqs [][][]float64) (lstmKernelReport, erro
 // buildBatchBodies renders the same batchN queries as the JSON array
 // and the binary frame.
 func buildBatchBodies(clean *lumos5g.Dataset, batchN int) ([]byte, []byte, error) {
-	queries := make([]map[string]float64, batchN)
 	wq := make([]wire.Query, batchN)
-	for i := range queries {
+	for i := range wq {
 		rec := clean.Records[i%len(clean.Records)]
 		sp, br := 4.0, float64(i%360)
-		queries[i] = map[string]float64{
-			"lat": rec.Latitude, "lon": rec.Longitude,
-			"speed": sp, "bearing": br,
-		}
-		s, b := sp, br
-		wq[i] = wire.Query{Lat: rec.Latitude, Lon: rec.Longitude, Speed: &s, Bearing: &b}
+		wq[i] = wire.Query{Lat: rec.Latitude, Lon: rec.Longitude, Speed: &sp, Bearing: &br}
 	}
-	jsonBody, err := json.Marshal(queries)
+	jsonBody, err := json.Marshal(wq)
 	if err != nil {
 		return nil, nil, err
 	}

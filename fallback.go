@@ -22,11 +22,12 @@ import (
 // reporting SS-RSRP, the panel survey does not cover the current block.
 // The chain turns those losses into tier demotions instead of errors:
 // each query is served by the first tier whose feature columns are all
-// present, finite, and inside their physical ranges
-// (features.ValidRange), and the response records which tier served it.
+// present, finite, and inside their physical ranges (the features
+// column table), and the response records which tier served it.
 //
-// Predict never fails for a well-formed query (any map, including nil):
-// the last resort forecasts from the query's own past-throughput
+// A query is a FeatureVector: one fixed slot per feature column, NaN
+// where a sensor is absent. Prediction never fails for any vector: the
+// last resort forecasts from the query's own past-throughput
 // features when usable (the ABR harmonic-mean estimator the paper
 // benchmarks as HM) and otherwise from the training-set prior.
 //
@@ -66,7 +67,7 @@ type ChainPrediction struct {
 	Missing []string
 	// P10 and P90 bound the nominal 80% prediction band around Mbps
 	// (which is the p50 of the triple). They are filled only by
-	// PredictInterval / PredictIntervalBatch and always satisfy
+	// the PredictInterval* methods and always satisfy
 	// P10 <= Mbps <= P90; both are floored at 0 like Mbps itself.
 	P10 float64
 	P90 float64
@@ -217,22 +218,34 @@ func ChainFromPredictor(p *Predictor, priorMbps float64) (*FallbackChain, error)
 	return NewFallbackChain(priorMbps, p)
 }
 
-// Predict serves one query. q maps vectorised feature column names (see
-// Predictor.FeatureNames) to raw values; keys may be absent, NaN, or out
-// of range — those columns are treated as missing sensors and demote the
-// query to the first tier that is fully satisfied. Predict never fails:
-// a nil or empty query is served by the last resort.
+// Predict serves one query given by feature column name (see
+// Predictor.FeatureNames); names that are not columns are ignored. It
+// is PredictVector on features.FromNames(q).
 func (c *FallbackChain) Predict(q map[string]float64) ChainPrediction {
-	return c.predict(q, false)
+	return c.PredictVector(features.FromNames(q))
 }
 
-// PredictInterval serves one query exactly like Predict — same tier
-// walk, same Mbps, same served-counter accounting — and additionally
-// fills the P10/P90 band from the serving tier's conformal calibration
-// (degenerate when the tier is uncalibrated). The triple always
-// satisfies P10 <= Mbps <= P90.
+// PredictInterval is PredictIntervalVector on features.FromNames(q).
 func (c *FallbackChain) PredictInterval(q map[string]float64) ChainPrediction {
-	return c.predict(q, true)
+	return c.PredictIntervalVector(features.FromNames(q))
+}
+
+// PredictVector serves one query. Columns that are absent (NaN),
+// non-finite or out of range are treated as missing sensors and demote
+// the query to the first tier that is fully satisfied. PredictVector
+// never fails: a query with no usable column is served by the last
+// resort.
+func (c *FallbackChain) PredictVector(v FeatureVector) ChainPrediction {
+	return c.predict(&v, false)
+}
+
+// PredictIntervalVector serves one query exactly like PredictVector —
+// same tier walk, same Mbps, same served-counter accounting — and
+// additionally fills the P10/P90 band from the serving tier's conformal
+// calibration (degenerate when the tier is uncalibrated). The triple
+// always satisfies P10 <= Mbps <= P90.
+func (c *FallbackChain) PredictIntervalVector(v FeatureVector) ChainPrediction {
+	return c.predict(&v, true)
 }
 
 // fillInterval attaches the serving tier's band to an answer whose Mbps
@@ -250,21 +263,12 @@ func fillInterval(cp *ChainPrediction, off *ml.ConformalOffsets) {
 	cp.HasInterval = true
 }
 
-func (c *FallbackChain) predict(q map[string]float64, withIval bool) ChainPrediction {
-	var firstMissing []string
+func (c *FallbackChain) predict(v *features.Vector, withIval bool) ChainPrediction {
 	for i, p := range c.tiers {
-		missing := features.MissingFeatures(q, p.names)
-		if i == 0 {
-			firstMissing = missing
-		}
-		if len(missing) > 0 {
+		if !v.Complete(p.cols) {
 			continue
 		}
-		x := make([]float64, len(p.names))
-		for j, n := range p.names {
-			x[j] = q[n]
-		}
-		mbps := p.Predict(x)
+		mbps := p.Predict(v.Row(p.cols))
 		if math.IsNaN(mbps) || math.IsInf(mbps, 0) {
 			// A tier that produces garbage is treated like a missing
 			// sensor: demote rather than propagate.
@@ -273,92 +277,89 @@ func (c *FallbackChain) predict(q map[string]float64, withIval bool) ChainPredic
 		if mbps < 0 {
 			mbps = 0
 		}
-		c.served[i].Add(1)
-		cp := ChainPrediction{
-			Mbps:     mbps,
-			Class:    ClassOf(mbps),
-			Tier:     i,
-			Source:   p.group.String(),
-			Degraded: i > 0,
-			Missing:  missingIfDegraded(firstMissing, i > 0),
-		}
-		if withIval {
-			fillInterval(&cp, p.ival)
-		}
-		return cp
+		return c.answer(i, mbps, v, withIval)
 	}
-	// Last resort: the query's own throughput history when usable,
-	// otherwise the training prior. Both are the HM estimator's domain.
-	mbps := c.prior
-	if v, ok := usableFeature(q, "past_tput_hmean"); ok {
-		mbps = v
-	} else if v, ok := usableFeature(q, "past_tput_last"); ok {
-		mbps = v
+	return c.answer(len(c.tiers), c.lastResort(v), v, withIval)
+}
+
+// lastResort is the featureless forecast: the query's own throughput
+// history when usable, otherwise the training prior. Both are the HM
+// estimator's domain.
+func (c *FallbackChain) lastResort(v *features.Vector) float64 {
+	switch {
+	case v.Usable(features.PastTputHmean):
+		return v[features.PastTputHmean]
+	case v.Usable(features.PastTputLast):
+		return v[features.PastTputLast]
 	}
-	c.served[len(c.tiers)].Add(1)
+	return c.prior
+}
+
+// answer records and returns the answer served by tier (len(c.tiers)
+// is the last resort). A degraded answer lists the first tier's
+// unusable columns of v.
+func (c *FallbackChain) answer(tier int, mbps float64, v *features.Vector, withIval bool) ChainPrediction {
+	c.served[tier].Add(1)
 	cp := ChainPrediction{
 		Mbps:     mbps,
 		Class:    ClassOf(mbps),
-		Tier:     len(c.tiers),
+		Tier:     tier,
 		Source:   LastResortGroup,
-		Degraded: len(c.tiers) > 0,
-		Missing:  missingIfDegraded(firstMissing, len(c.tiers) > 0),
+		Degraded: tier > 0,
+	}
+	off := c.hmOff
+	if tier < len(c.tiers) {
+		cp.Source = c.tiers[tier].group.String()
+		off = c.tiers[tier].ival
+	}
+	if cp.Degraded {
+		cp.Missing = v.Missing(c.tiers[0].cols)
 	}
 	if withIval {
-		fillInterval(&cp, c.hmOff)
+		fillInterval(&cp, off)
 	}
 	return cp
 }
 
 // PredictBatch serves many queries at once, answering exactly as if
-// Predict were called on each in order — same tier attribution, same
-// served-counter totals — but batching each tier's satisfied queries
-// through the model's vectorised fast path. Queries a tier demotes
-// (missing sensors, or a non-finite tier prediction) stay pending for
-// the next tier, mirroring the per-query demotion loop.
-func (c *FallbackChain) PredictBatch(qs []map[string]float64) []ChainPrediction {
-	return c.predictBatch(qs, false)
+// PredictVector were called on each in order — same tier attribution,
+// same served-counter totals — but batching each tier's satisfied
+// queries through the model's vectorised fast path. Queries a tier
+// demotes (missing sensors, or a non-finite tier prediction) stay
+// pending for the next tier, mirroring the per-query demotion loop.
+func (c *FallbackChain) PredictBatch(vs []FeatureVector) []ChainPrediction {
+	return c.predictBatch(vs, false)
 }
 
 // PredictIntervalBatch serves many queries with P10/P90 bands attached.
-// Element i equals PredictInterval(qs[i]) exactly — same tier walk,
-// same floats, same served-counter totals.
-func (c *FallbackChain) PredictIntervalBatch(qs []map[string]float64) []ChainPrediction {
-	return c.predictBatch(qs, true)
+// Element i equals PredictIntervalVector(vs[i]) exactly — same tier
+// walk, same floats, same served-counter totals.
+func (c *FallbackChain) PredictIntervalBatch(vs []FeatureVector) []ChainPrediction {
+	return c.predictBatch(vs, true)
 }
 
-func (c *FallbackChain) predictBatch(qs []map[string]float64, withIval bool) []ChainPrediction {
-	out := make([]ChainPrediction, len(qs))
-	pending := make([]int, len(qs))
+func (c *FallbackChain) predictBatch(vs []features.Vector, withIval bool) []ChainPrediction {
+	out := make([]ChainPrediction, len(vs))
+	pending := make([]int, len(vs))
 	for i := range pending {
 		pending[i] = i
 	}
-	firstMissing := make([][]string, len(qs))
+	var ready []int
 	for ti, p := range c.tiers {
 		if len(pending) == 0 {
 			break
 		}
-		var ready []int
-		var X [][]float64
+		ready = ready[:0]
 		next := pending[:0]
 		for _, qi := range pending {
-			missing := features.MissingFeatures(qs[qi], p.names)
-			if ti == 0 {
-				firstMissing[qi] = missing
-			}
-			if len(missing) > 0 {
+			if vs[qi].Complete(p.cols) {
+				ready = append(ready, qi)
+			} else {
 				next = append(next, qi)
-				continue
 			}
-			x := make([]float64, len(p.names))
-			for j, n := range p.names {
-				x[j] = qs[qi][n]
-			}
-			ready = append(ready, qi)
-			X = append(X, x)
 		}
 		if len(ready) > 0 {
-			preds := ml.PredictAll(p.reg, X)
+			preds := ml.PredictAll(p.reg, features.Rows(vs, ready, p.cols))
 			for k, qi := range ready {
 				mbps := preds[k]
 				if math.IsNaN(mbps) || math.IsInf(mbps, 0) {
@@ -368,65 +369,15 @@ func (c *FallbackChain) predictBatch(qs []map[string]float64, withIval bool) []C
 				if mbps < 0 {
 					mbps = 0
 				}
-				c.served[ti].Add(1)
-				out[qi] = ChainPrediction{
-					Mbps:     mbps,
-					Class:    ClassOf(mbps),
-					Tier:     ti,
-					Source:   p.group.String(),
-					Degraded: ti > 0,
-					Missing:  missingIfDegraded(firstMissing[qi], ti > 0),
-				}
-				if withIval {
-					fillInterval(&out[qi], p.ival)
-				}
+				out[qi] = c.answer(ti, mbps, &vs[qi], withIval)
 			}
 		}
 		pending = next
 	}
 	for _, qi := range pending {
-		q := qs[qi]
-		mbps := c.prior
-		if v, ok := usableFeature(q, "past_tput_hmean"); ok {
-			mbps = v
-		} else if v, ok := usableFeature(q, "past_tput_last"); ok {
-			mbps = v
-		}
-		c.served[len(c.tiers)].Add(1)
-		out[qi] = ChainPrediction{
-			Mbps:     mbps,
-			Class:    ClassOf(mbps),
-			Tier:     len(c.tiers),
-			Source:   LastResortGroup,
-			Degraded: len(c.tiers) > 0,
-			Missing:  missingIfDegraded(firstMissing[qi], len(c.tiers) > 0),
-		}
-		if withIval {
-			fillInterval(&out[qi], c.hmOff)
-		}
+		out[qi] = c.answer(len(c.tiers), c.lastResort(&vs[qi]), &vs[qi], withIval)
 	}
 	return out
-}
-
-// usableFeature returns q[name] when it is present and inside the
-// feature's valid range.
-func usableFeature(q map[string]float64, name string) (float64, bool) {
-	v, ok := q[name]
-	if !ok {
-		return 0, false
-	}
-	fr, known := features.ValidRange(name)
-	if !known || !fr.Contains(v) {
-		return 0, false
-	}
-	return v, true
-}
-
-func missingIfDegraded(missing []string, degraded bool) []string {
-	if !degraded {
-		return nil
-	}
-	return append([]string(nil), missing...)
 }
 
 // Tiers returns the chain's predictors in serving order.

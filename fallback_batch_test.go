@@ -4,7 +4,18 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"lumos5g/internal/features"
 )
+
+// vectors converts by-name queries to the chain's vector form.
+func vectors(qs []map[string]float64) []FeatureVector {
+	vs := make([]FeatureVector, len(qs))
+	for i, q := range qs {
+		vs[i] = features.FromNames(q)
+	}
+	return vs
+}
 
 // batchTestQueries exercises every serving path of a chain: tier 0, a
 // demotion to tier 1, deep demotion, the last resort with and without
@@ -43,7 +54,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 	afterSerial := c.ServedCounts()
 
-	got := c.PredictBatch(qs)
+	got := c.PredictBatch(vectors(qs))
 	afterBatch := c.ServedCounts()
 
 	for i := range want {
@@ -71,7 +82,7 @@ func TestPredictBatchEmptyAndZeroTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := bare.PredictBatch([]map[string]float64{nil, {"past_tput_last": 200}})
+	got := bare.PredictBatch(vectors([]map[string]float64{nil, {"past_tput_last": 200}}))
 	for i, p := range got {
 		if want := bare.Predict([]map[string]float64{nil, {"past_tput_last": 200}}[i]); !reflect.DeepEqual(p, want) {
 			t.Fatalf("tierless chain query %d: batch %+v != serial %+v", i, p, want)

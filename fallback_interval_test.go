@@ -125,7 +125,7 @@ func TestPredictIntervalBatchMatchesSequential(t *testing.T) {
 		qs[i] = q
 	}
 	// Fresh chain for sequential so served counters match too.
-	got := c.PredictIntervalBatch(qs)
+	got := c.PredictIntervalBatch(vectors(qs))
 	c2, _ := trainCalibratedTestChain(t)
 	for i, q := range qs {
 		want := c2.PredictInterval(q)

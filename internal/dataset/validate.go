@@ -64,7 +64,7 @@ var recordBounds = []fieldBound{
 // FieldBounds returns the validated field names with their [lo, hi]
 // physical ranges — exported for the serving query bounds
 // (internal/wire) and so tests can cross-check this table against
-// internal/features.ValidRange without an import cycle.
+// the internal/features column ranges without an import cycle.
 func FieldBounds() map[string][2]float64 {
 	out := make(map[string][2]float64, len(recordBounds))
 	for _, b := range recordBounds {

@@ -15,10 +15,10 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"lumos5g"
+	"lumos5g/internal/features"
 	"lumos5g/internal/geo"
 )
 
@@ -119,37 +119,18 @@ func MapMean(tm *lumos5g.ThroughputMap) float64 {
 	return sum / float64(n)
 }
 
-// valsPool recycles the per-query feature maps. The fallback chain
-// copies what it needs into its own feature vector and never retains the
-// query map, so the map can go straight back to the pool after Predict
-// returns — the serving path makes no per-request feature-vector garbage.
-var valsPool = sync.Pool{
-	New: func() any { return make(map[string]float64, 4) },
+// query is the fallback-chain query for one prediction request. Absent
+// optional sensors are NaN — the chain demotes the query to a tier that
+// does not need them.
+func query(px geo.Pixel, speed, bearing *float64) features.Vector {
+	return features.Query(px.X, px.Y, orNaN(speed), orNaN(bearing))
 }
 
-// queryVals assembles the fallback-chain query from one prediction
-// request. Optional parameters that are absent are simply omitted — the
-// chain demotes the query to a tier that does not need them. The map
-// comes from valsPool; release it with putVals once the chain answered.
-func queryVals(px geo.Pixel, speed, bearing *float64) map[string]float64 {
-	vals := valsPool.Get().(map[string]float64)
-	vals["pixel_x"] = float64(px.X)
-	vals["pixel_y"] = float64(px.Y)
-	if speed != nil {
-		vals["moving_speed"] = *speed
+func orNaN(v *float64) float64 {
+	if v == nil {
+		return math.NaN()
 	}
-	if bearing != nil {
-		rad := math.Pi / 180
-		vals["compass_sin"] = math.Sin(*bearing * rad)
-		vals["compass_cos"] = math.Cos(*bearing * rad)
-	}
-	return vals
-}
-
-// putVals returns a query map to the pool.
-func putVals(vals map[string]float64) {
-	clear(vals)
-	valsPool.Put(vals)
+	return *v
 }
 
 // MapOnly answers a prediction from the throughput map alone —
@@ -202,12 +183,9 @@ func (e *Engine) Predict(px geo.Pixel, speed, bearing *float64) Prediction {
 	if e.chain == nil {
 		return e.MapOnly(px)
 	}
-	vals := queryVals(px, speed, bearing)
 	start := time.Now()
-	p := e.chain.Predict(vals)
-	walk := time.Since(start)
-	putVals(vals)
-	return fromChain(p, walk)
+	p := e.chain.PredictVector(query(px, speed, bearing))
+	return fromChain(p, time.Since(start))
 }
 
 // PredictInterval answers one query like Predict and carries the
@@ -217,12 +195,9 @@ func (e *Engine) PredictInterval(px geo.Pixel, speed, bearing *float64) Predicti
 	if e.chain == nil {
 		return withDegenerateBand(e.MapOnly(px))
 	}
-	vals := queryVals(px, speed, bearing)
 	start := time.Now()
-	p := e.chain.PredictInterval(vals)
-	walk := time.Since(start)
-	putVals(vals)
-	return fromChainInterval(p, walk)
+	p := e.chain.PredictIntervalVector(query(px, speed, bearing))
+	return fromChainInterval(p, time.Since(start))
 }
 
 // PredictBatch answers many queries in one model pass. speeds and
@@ -249,7 +224,7 @@ func (e *Engine) predictBatch(pxs []geo.Pixel, speeds, bearings []*float64, with
 		}
 		return out
 	}
-	vals := make([]map[string]float64, len(pxs))
+	vs := make([]features.Vector, len(pxs))
 	for i, px := range pxs {
 		var sp, br *float64
 		if speeds != nil {
@@ -258,19 +233,16 @@ func (e *Engine) predictBatch(pxs []geo.Pixel, speeds, bearings []*float64, with
 		if bearings != nil {
 			br = bearings[i]
 		}
-		vals[i] = queryVals(px, sp, br)
+		vs[i] = query(px, sp, br)
 	}
 	if withIval {
-		for i, p := range e.chain.PredictIntervalBatch(vals) {
+		for i, p := range e.chain.PredictIntervalBatch(vs) {
 			out[i] = fromChainInterval(p, 0)
 		}
 	} else {
-		for i, p := range e.chain.PredictBatch(vals) {
+		for i, p := range e.chain.PredictBatch(vs) {
 			out[i] = fromChain(p, 0)
 		}
-	}
-	for _, v := range vals {
-		putVals(v)
 	}
 	return out
 }

@@ -9,12 +9,10 @@ package features
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
 	"lumos5g/internal/dataset"
-	"lumos5g/internal/radio"
 )
 
 // Group is a feature group or combination.
@@ -98,9 +96,6 @@ func (g Group) usesT() bool {
 	return g == GroupT || g == GroupTM || g == GroupTMC
 }
 
-// usesC reports whether the group includes connection features.
-func (g Group) usesC() bool { return g.UsesConnection() }
-
 // UsesConnection reports whether the group includes connection (C)
 // features — past throughput and PHY-layer state. Sequence models prime
 // their decoder with the last observed throughput only for these groups,
@@ -136,71 +131,20 @@ type Matrix struct {
 // required fields (tower features in unsurveyed areas) are skipped.
 // Past-throughput features are derived per trace in time order.
 func Build(d *dataset.Dataset, g Group) *Matrix {
-	names := featureNames(g)
-	m := &Matrix{Names: names}
+	cols := g.Columns()
+	m := &Matrix{Names: GroupNames(g)}
 	past := pastThroughputs(d)
 	for i := range d.Records {
 		r := &d.Records[i]
 		if g.usesT() && !r.HasPanelInfo() {
 			continue
 		}
-		row := make([]float64, 0, len(names))
-		row = appendFeatures(row, r, g, past[i])
-		m.X = append(m.X, row)
+		v := fill(r, past[i])
+		m.X = append(m.X, v.Row(cols))
 		m.Y = append(m.Y, r.ThroughputMbps)
 		m.RecordIdx = append(m.RecordIdx, i)
 	}
 	return m
-}
-
-// featureNames returns the column names for a group.
-func featureNames(g Group) []string {
-	var names []string
-	appendL := func() { names = append(names, "pixel_x", "pixel_y") }
-	appendSpeed := func() { names = append(names, "moving_speed") }
-	appendCompass := func() { names = append(names, "compass_sin", "compass_cos") }
-	appendT := func() {
-		names = append(names,
-			"panel_dist",
-			"theta_p_sin", "theta_p_cos",
-			"theta_m_sin", "theta_m_cos")
-	}
-	appendC := func() {
-		names = append(names,
-			"past_tput_last", "past_tput_hmean",
-			"radio_type",
-			"lte_rsrp", "lte_rsrq", "lte_rssi",
-			"ss_rsrp", "ss_rsrq", "ss_sinr",
-			"horizontal_ho", "vertical_ho")
-	}
-	switch g {
-	case GroupL:
-		appendL()
-	case GroupM:
-		appendSpeed()
-		appendCompass()
-	case GroupT:
-		appendT()
-	case GroupC:
-		appendC()
-	case GroupLM:
-		appendL()
-		appendSpeed()
-		appendCompass()
-	case GroupTM:
-		appendSpeed()
-		appendT()
-	case GroupLMC:
-		appendL()
-		appendSpeed()
-		appendCompass()
-		appendC()
-	case GroupTMC:
-		appendSpeed()
-		appendT()
-		appendC()
-	}
-	return names
 }
 
 // pastInfo carries the derived history features for one record.
@@ -252,74 +196,4 @@ func pastThroughputs(d *dataset.Dataset) []pastInfo {
 		}
 	}
 	return out
-}
-
-func appendFeatures(row []float64, r *dataset.Record, g Group, past pastInfo) []float64 {
-	rad := math.Pi / 180
-	appendL := func() {
-		row = append(row, float64(r.PixelX), float64(r.PixelY))
-	}
-	appendSpeed := func() { row = append(row, r.SpeedKmh) }
-	appendCompass := func() {
-		row = append(row, math.Sin(r.CompassDeg*rad), math.Cos(r.CompassDeg*rad))
-	}
-	appendT := func() {
-		row = append(row, r.PanelDist,
-			math.Sin(r.ThetaP*rad), math.Cos(r.ThetaP*rad),
-			math.Sin(r.ThetaM*rad), math.Cos(r.ThetaM*rad))
-	}
-	appendC := func() {
-		radioType := 0.0
-		if r.Radio == radio.RadioNR {
-			radioType = 1
-		}
-		ss := func(v, sentinel float64) float64 {
-			if math.IsNaN(v) {
-				return sentinel
-			}
-			return v
-		}
-		b := func(v bool) float64 {
-			if v {
-				return 1
-			}
-			return 0
-		}
-		row = append(row,
-			past.last, past.hmean,
-			radioType,
-			r.LteRsrp, r.LteRsrq, r.LteRssi,
-			ss(r.SSRsrp, SentinelSSRsrp),
-			ss(r.SSRsrq, SentinelSSRsrq),
-			ss(r.SSSinr, SentinelSSSinr),
-			b(r.HorizontalHO), b(r.VerticalHO))
-	}
-	switch g {
-	case GroupL:
-		appendL()
-	case GroupM:
-		appendSpeed()
-		appendCompass()
-	case GroupT:
-		appendT()
-	case GroupC:
-		appendC()
-	case GroupLM:
-		appendL()
-		appendSpeed()
-		appendCompass()
-	case GroupTM:
-		appendSpeed()
-		appendT()
-	case GroupLMC:
-		appendL()
-		appendSpeed()
-		appendCompass()
-		appendC()
-	case GroupTMC:
-		appendSpeed()
-		appendT()
-		appendC()
-	}
-	return row
 }

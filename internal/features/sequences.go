@@ -44,7 +44,8 @@ func BuildSequences(d *dataset.Dataset, g Group, seqLen, outLen int) *SequenceSe
 	if outLen <= 0 {
 		outLen = 1
 	}
-	set := &SequenceSet{Names: featureNames(g)}
+	cols := g.Columns()
+	set := &SequenceSet{Names: GroupNames(g)}
 
 	byTrace := make(map[dataset.TraceKey][]int)
 	for i := range d.Records {
@@ -98,13 +99,13 @@ func BuildSequences(d *dataset.Dataset, g Group, seqLen, outLen int) *SequenceSe
 			}
 			seq := make([][]float64, seqLen)
 			for t := 0; t < seqLen-1; t++ {
-				i := idxs[start+t]
-				seq[t] = appendFeatures(nil, &d.Records[i], g, inclusive[start+t])
+				v := fill(&d.Records[idxs[start+t]], inclusive[start+t])
+				seq[t] = v.Row(cols)
 			}
 			// Final step: the predicted second's own features, with
 			// throughput history that stops at tpos-1 (no label leakage).
-			exclusive := inclusive[tpos-1]
-			seq[seqLen-1] = appendFeatures(nil, &d.Records[idxs[tpos]], g, exclusive)
+			v := fill(&d.Records[idxs[tpos]], inclusive[tpos-1])
+			seq[seqLen-1] = v.Row(cols)
 			ys := make([]float64, outLen)
 			for t := 0; t < outLen; t++ {
 				ys[t] = d.Records[idxs[tpos+t]].ThroughputMbps

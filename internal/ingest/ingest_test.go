@@ -166,14 +166,14 @@ func TestGateMatchesLenientCSVRejection(t *testing.T) {
 // ranges for every field both tables know: otherwise a value could be
 // storable but the two layers would disagree about which side gates it.
 func TestFieldBoundsContainServingRanges(t *testing.T) {
-	pairs := map[string]string{ // dataset field -> features name
-		"speed_kmh": "moving_speed",
-		"lte_rsrp":  "lte_rsrp",
-		"lte_rsrq":  "lte_rsrq",
-		"lte_rssi":  "lte_rssi",
-		"ss_rsrq":   "ss_rsrq",
-		"pixel_x":   "pixel_x",
-		"pixel_y":   "pixel_y",
+	pairs := map[string]features.Column{ // dataset field -> features column
+		"speed_kmh": features.MovingSpeed,
+		"lte_rsrp":  features.LteRsrp,
+		"lte_rsrq":  features.LteRsrq,
+		"lte_rssi":  features.LteRssi,
+		"ss_rsrq":   features.SSRsrq,
+		"pixel_x":   features.PixelX,
+		"pixel_y":   features.PixelY,
 	}
 	bounds := dataset.FieldBounds()
 	for df, ff := range pairs {
@@ -181,10 +181,7 @@ func TestFieldBoundsContainServingRanges(t *testing.T) {
 		if !ok {
 			t.Fatalf("dataset bounds missing %q", df)
 		}
-		fr, ok := features.ValidRange(ff)
-		if !ok {
-			t.Fatalf("features range missing %q", ff)
-		}
+		fr := ff.Range()
 		if b[0] > fr.Lo || b[1] < fr.Hi {
 			t.Errorf("%s: physical bounds [%g,%g] do not contain serving range [%g,%g]",
 				df, b[0], b[1], fr.Lo, fr.Hi)

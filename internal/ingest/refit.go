@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"lumos5g"
+	"lumos5g/internal/features"
 )
 
 // The gated refit loop: drain the queue into the window, retrain the
@@ -285,29 +286,19 @@ func (ing *Ingestor) envelope(c *lumos5g.FallbackChain) (*lumos5g.FallbackChain,
 }
 
 // chainMAE scores a chain on holdout records through serving-shaped
-// queries — the same feature names /predict builds — so the gate
-// measures what clients will actually see, not training-matrix error.
-// NaN when the chain is nil or the holdout is empty.
+// queries — the vector /predict builds from pixel, speed and bearing —
+// so the gate measures what clients will actually see, not
+// training-matrix error. NaN when the chain is nil or the holdout is
+// empty.
 func chainMAE(c *lumos5g.FallbackChain, holdout *lumos5g.Dataset) float64 {
 	if c == nil || len(holdout.Records) == 0 {
 		return math.NaN()
 	}
 	var sum float64
-	q := make(map[string]float64, 5)
 	for i := range holdout.Records {
 		r := &holdout.Records[i]
-		clear(q)
-		q["pixel_x"] = float64(r.PixelX)
-		q["pixel_y"] = float64(r.PixelY)
-		if !math.IsNaN(r.SpeedKmh) {
-			q["moving_speed"] = r.SpeedKmh
-		}
-		if !math.IsNaN(r.CompassDeg) {
-			rad := r.CompassDeg * math.Pi / 180
-			q["compass_sin"] = math.Sin(rad)
-			q["compass_cos"] = math.Cos(rad)
-		}
-		sum += math.Abs(c.Predict(q).Mbps - r.ThroughputMbps)
+		q := features.Query(r.PixelX, r.PixelY, r.SpeedKmh, r.CompassDeg)
+		sum += math.Abs(c.PredictVector(q).Mbps - r.ThroughputMbps)
 	}
 	return sum / float64(len(holdout.Records))
 }

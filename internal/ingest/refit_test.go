@@ -11,6 +11,9 @@ import (
 	"time"
 
 	"lumos5g"
+	"lumos5g/internal/engine"
+	"lumos5g/internal/geo"
+	"lumos5g/internal/ml/gbdt"
 	"lumos5g/internal/obs"
 )
 
@@ -289,4 +292,40 @@ func TestStartLoopStops(t *testing.T) {
 	stop()
 	// After stop, the loop goroutine is joined; a second stop is a no-op.
 	stop()
+}
+
+// The refit gate must score exactly what /predict serves: chainMAE over
+// a holdout equals, bit for bit, the mean |engine answer − truth| of the
+// same records sent through the engine as pixel, speed and bearing. The
+// holdout is the training set itself, so compass values sit exactly on
+// split thresholds, where a last-bit difference in sin/cos takes the
+// other branch.
+func TestChainMAEMatchesEngine(t *testing.T) {
+	d := campaign(t)
+	sc := lumos5g.Scale{GBDT: gbdt.Config{Estimators: 40, MaxDepth: 5}, Seed: 1}
+	chain, err := lumos5g.TrainFallbackChain(d, lumos5g.DefaultFallbackGroups, lumos5g.ModelGDBT, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(lumos5g.BuildThroughputMap(d, 2), chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sensor := func(v float64) *float64 {
+		if math.IsNaN(v) {
+			return nil
+		}
+		return &v
+	}
+	var sum float64
+	for i := range d.Records {
+		r := &d.Records[i]
+		px := geo.Pixel{X: r.PixelX, Y: r.PixelY, Zoom: geo.DefaultZoom}
+		p := eng.Predict(px, sensor(r.SpeedKmh), sensor(r.CompassDeg))
+		sum += math.Abs(p.Mbps - r.ThroughputMbps)
+	}
+	want := sum / float64(len(d.Records))
+	if got := chainMAE(chain, d); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("chainMAE %v (%#x), engine MAE %v (%#x)", got, math.Float64bits(got), want, math.Float64bits(want))
+	}
 }

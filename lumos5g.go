@@ -45,6 +45,9 @@ type (
 	Stats = dataset.Stats
 	// FeatureGroup is a Table 6 feature group or combination.
 	FeatureGroup = features.Group
+	// FeatureVector is one fallback-chain query: a value per feature
+	// column, NaN where a sensor is absent.
+	FeatureVector = features.Vector
 	// Model selects a predictor family.
 	Model = core.ModelKind
 	// Scale bundles hyper-parameters (see EXPERIMENTS.md for the mapping

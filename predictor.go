@@ -21,7 +21,8 @@ type Predictor struct {
 	group FeatureGroup
 	model Model
 	reg   ml.Regressor
-	names []string
+	// cols are the group's feature columns in model input order.
+	cols []features.Column
 	// ival holds split-conformal residual offsets when the predictor was
 	// calibrated (TrainCalibrated, or Calibrate on held-out rows); nil
 	// means PredictInterval serves degenerate zero-width bands.
@@ -53,7 +54,7 @@ func Train(d *Dataset, g FeatureGroup, m Model, sc Scale) (*Predictor, error) {
 	if err := reg.Fit(mat.X, mat.Y); err != nil {
 		return nil, err
 	}
-	return &Predictor{group: g, model: m, reg: reg, names: mat.Names}, nil
+	return &Predictor{group: g, model: m, reg: reg, cols: g.Columns()}, nil
 }
 
 // newRegressor constructs the unfitted model family for a Scale.
@@ -113,7 +114,7 @@ func TrainCalibrated(d *Dataset, g FeatureGroup, m Model, sc Scale) (*Predictor,
 	if err := reg.Fit(trainX, trainY); err != nil {
 		return nil, err
 	}
-	p := &Predictor{group: g, model: m, reg: reg, names: mat.Names}
+	p := &Predictor{group: g, model: m, reg: reg, cols: g.Columns()}
 	off, err := ml.CalibrateConformal(ml.PredictAll(reg, calX), calY)
 	if err != nil {
 		return nil, fmt.Errorf("lumos5g: calibrate %s: %w", g, err)
@@ -191,9 +192,7 @@ func (p *Predictor) Group() FeatureGroup { return p.group }
 func (p *Predictor) Model() Model { return p.model }
 
 // FeatureNames returns the expected feature column order for Predict.
-func (p *Predictor) FeatureNames() []string {
-	return append([]string(nil), p.names...)
-}
+func (p *Predictor) FeatureNames() []string { return features.GroupNames(p.group) }
 
 // Predict estimates throughput for one raw feature vector (in the order
 // of FeatureNames).

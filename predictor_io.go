@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"lumos5g/internal/features"
 	"lumos5g/internal/ml"
@@ -139,7 +140,7 @@ func (p *Predictor) Save(w io.Writer) error {
 	dto := predictorDTO{
 		Version: predictorWireVersion,
 		Group:   p.group.String(),
-		Names:   p.names,
+		Names:   p.FeatureNames(),
 		Model:   model.Bytes(),
 	}
 	if p.ival != nil {
@@ -198,6 +199,10 @@ func decodePredictor(r io.Reader) (*Predictor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lumos5g: %v: %w", err, ErrArtifactCorrupt)
 	}
+	if want := features.GroupNames(group); !slices.Equal(dto.Names, want) {
+		return nil, fmt.Errorf("lumos5g: stored columns are not %s's %v: %w",
+			group, want, ErrArtifactCorrupt)
+	}
 	if model.NumFeatures() != len(dto.Names) {
 		return nil, fmt.Errorf("lumos5g: model expects %d features but %d names stored: %w",
 			model.NumFeatures(), len(dto.Names), ErrArtifactCorrupt)
@@ -206,7 +211,7 @@ func decodePredictor(r io.Reader) (*Predictor, error) {
 		group: group,
 		model: ModelGDBT,
 		reg:   model,
-		names: dto.Names,
+		cols:  group.Columns(),
 	}
 	if dto.HasIval {
 		if err := p.SetConformalOffsets(ml.ConformalOffsets{Lo: dto.IvalLo, Hi: dto.IvalHi}); err != nil {
