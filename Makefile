@@ -63,10 +63,11 @@ race-abr:
 	$(GO) test -race ./internal/abr/... ./internal/mapserver/... ./internal/fleet/... .
 
 # The serial-vs-parallel parity audit: byte-identical campaigns, models
-# and batch predictions across worker counts, plus the golden digests of
-# feature matrices and engine answers.
+# and batch predictions across worker counts, the golden digests of
+# feature matrices and engine answers, and the byte contracts of the
+# JSON encoder (stdlib parity) and of router vs replica answers.
 parity:
-	$(GO) test -race -run 'Parallel|Parity|Refit|Batch|Split|CheckpointEncode|Golden' ./internal/sim/... ./internal/ml/... ./internal/rng/... ./internal/mapserver/... ./internal/features/... ./internal/engine/... .
+	$(GO) test -race -run 'Parallel|Parity|Refit|Batch|Split|CheckpointEncode|Golden|Stdlib|Agreement' ./internal/sim/... ./internal/ml/... ./internal/rng/... ./internal/mapserver/... ./internal/features/... ./internal/engine/... ./internal/fleet/... ./internal/wire/... .
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

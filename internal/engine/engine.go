@@ -104,10 +104,13 @@ func (e *Engine) MapPrior() float64 { return e.prior }
 // floored at 1 Mbps so it stays a usable chain prior. Cells with
 // non-finite means are skipped — a NaN check alone would still let +Inf
 // through the sum and out as an Inf prior, which has no JSON encoding.
+// Cells are summed in sorted order so the prior is bit-identical from
+// one engine construction to the next (Go map order is randomised, and
+// float addition is not associative).
 func MapMean(tm *lumos5g.ThroughputMap) float64 {
 	var sum float64
 	var n int
-	for _, c := range tm.Cells {
+	for _, c := range tm.SortedCells() {
 		if c.N > 0 && !math.IsNaN(c.MeanMbps) && !math.IsInf(c.MeanMbps, 0) {
 			sum += c.MeanMbps * float64(c.N)
 			n += c.N

@@ -154,6 +154,20 @@ func TestMapMeanEdgeCases(t *testing.T) {
 	}
 }
 
+// TestMapMeanDeterministic: the map-wide prior must not depend on Go's
+// randomised map iteration order — every call on one map returns the
+// same bits, so the map-mean answer is reproducible across engine
+// constructions.
+func TestMapMeanDeterministic(t *testing.T) {
+	tm, _, _ := fixture(t)
+	want := math.Float64bits(engine.MapMean(tm))
+	for i := 0; i < 64; i++ {
+		if got := math.Float64bits(engine.MapMean(tm)); got != want {
+			t.Fatalf("call %d: MapMean bits %#x != first call %#x", i, got, want)
+		}
+	}
+}
+
 func TestFinite(t *testing.T) {
 	if !(engine.Prediction{Mbps: 42}).Finite() {
 		t.Fatal("42 is finite")

@@ -1,7 +1,10 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -275,4 +278,55 @@ func FuzzRouteKey(f *testing.F) {
 			t.Fatalf("Owner picked %s, partition function says %s", owner.ID, want)
 		}
 	})
+}
+
+// TestRouterHealthz pins the router's /healthz verdict: ok while every
+// non-draining shard keeps a replica that is not down, and not ok
+// without a topology at all. The handler is driven directly so replica
+// states are exactly what the test sets (the prober would overwrite
+// them from the unreachable placeholder URLs).
+func TestRouterHealthz(t *testing.T) {
+	health := func(topo *Topology) fleetHealth {
+		t.Helper()
+		rt := &Router{}
+		if topo != nil {
+			rt.topo.Store(topo)
+		}
+		rec := httptest.NewRecorder()
+		rt.handleHealth(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("healthz: %d %q", rec.Code, rec.Header().Get("Content-Type"))
+		}
+		var h fleetHealth
+		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+			t.Fatalf("healthz body %q: %v", rec.Body.String(), err)
+		}
+		return h
+	}
+
+	topo := mkTopo(2, 2)
+	topo.Shards[0].Replicas[1].setState(StateDegraded)
+	if h := health(topo); !h.OK || len(h.Shards) != 2 || !h.Shards[0].OK || !h.Shards[1].OK ||
+		h.Shards[0].Replicas[1].State != "degraded" {
+		t.Fatalf("healthy fleet: %+v", h)
+	}
+
+	// Every replica of s1 down: the fleet can no longer serve s1's keys.
+	for _, rep := range topo.Shards[1].Replicas {
+		rep.setState(StateDown)
+	}
+	if h := health(topo); h.OK || h.Shards[1].OK || h.Shards[1].Draining {
+		t.Fatalf("shard with every replica down: %+v", h)
+	}
+
+	// The same dead shard while draining is leaving on purpose: its keys
+	// already rank elsewhere, so the fleet stays ok.
+	topo.Shards[1].SetDraining(true)
+	if h := health(topo); !h.OK || h.Shards[1].OK || !h.Shards[1].Draining {
+		t.Fatalf("draining dead shard: %+v", h)
+	}
+
+	if h := health(nil); h.OK || len(h.Shards) != 0 {
+		t.Fatalf("nil topology: %+v", h)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"lumos5g/internal/ingest"
+	"lumos5g/internal/wire"
 )
 
 // POST /ingest on the router: samples are forwarded to the shard that
@@ -79,26 +80,26 @@ func (rt *Router) ingestShardTry(ctx context.Context, sh *Shard, body []byte) at
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
 	topo := rt.Topology()
 	if topo == nil || len(topo.Shards) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no shards in topology")
+		wire.WriteError(w, http.StatusServiceUnavailable, "no shards in topology")
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, 16<<20)
 	var samples []ingest.Sample
 	if err := json.NewDecoder(r.Body).Decode(&samples); err != nil {
-		writeError(w, http.StatusBadRequest, "body must be a JSON array of samples")
+		wire.WriteError(w, http.StatusBadRequest, "body must be a JSON array of samples")
 		return
 	}
 	if len(samples) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
+		wire.WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	if len(samples) > ingest.MaxBatchSamples {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch too large: %d samples (max %d)", len(samples), ingest.MaxBatchSamples))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch too large: %d samples (max %d)", len(samples), ingest.MaxBatchSamples))
 		return
 	}
 
@@ -189,8 +190,8 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	if resp.Dropped > 0 && resp.Accepted == 0 && resp.Rejected == 0 && resp.Failed == 0 {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, resp)
+		wire.WriteJSON(w, http.StatusTooManyRequests, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }

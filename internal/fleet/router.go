@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -185,20 +184,6 @@ func (w *codeWriter) status() int {
 	return w.code
 }
 
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, apiError{Error: msg})
-}
-
 // jitter draws the actual backoff delay: uniform in [0.5, 1.5) × d,
 // the same spread the netem client uses, so synchronized retries from
 // many queries against one recovering replica de-correlate.
@@ -334,17 +319,17 @@ func (rt *Router) finishAttempt(c candidate, resp *http.Response, err error) att
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
 	var q wire.QueryParams
 	if err := wire.ParseQuery(r.URL.RawQuery, &q); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	cands := rt.predictCandidates(RouteKey(q.Lat, q.Lon, q.Speed, q.Bearing))
 	if len(cands) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no shards in topology")
+		wire.WriteError(w, http.StatusServiceUnavailable, "no shards in topology")
 		return
 	}
 	rt.hedgedGET(w, r, cands, "/predict", r.URL.RawQuery)
@@ -388,7 +373,7 @@ func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []cand
 	for {
 		select {
 		case <-ctx.Done():
-			writeError(w, http.StatusServiceUnavailable, "request cancelled")
+			wire.WriteError(w, http.StatusServiceUnavailable, "request cancelled")
 			return
 		case <-hedge.C:
 			if launch() {
@@ -404,7 +389,7 @@ func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []cand
 				if res.cand.rep != cands[0].rep {
 					rt.m.failovers.Inc()
 				}
-				w.Header().Set("Content-Type", "application/json")
+				wire.SetJSONType(w)
 				w.Header().Set("X-Fleet-Shard", res.cand.shard.ID)
 				w.Header().Set("X-Fleet-Replica", res.cand.rep.ID)
 				w.WriteHeader(http.StatusOK)
@@ -434,7 +419,7 @@ func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []cand
 				if sawShed {
 					w.Header().Set("Retry-After", "1")
 				}
-				writeError(w, http.StatusServiceUnavailable, "no replica could serve the query")
+				wire.WriteError(w, http.StatusServiceUnavailable, "no replica could serve the query")
 				return
 			}
 		}

@@ -101,12 +101,12 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
 	topo := rt.Topology()
 	if topo == nil || len(topo.Shards) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no shards in topology")
+		wire.WriteError(w, http.StatusServiceUnavailable, "no shards in topology")
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, 16<<20)
@@ -115,7 +115,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// downstream.
 	queries, err := wire.DecodeBatch(r.Header.Get("Content-Type"), r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
@@ -129,16 +129,23 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		subAccept = wire.ContentTypeIntervals
 	}
 
-	// Group row indices by owning shard (rendezvous on the cell).
+	// Group row indices by owning shard (rendezvous on the cell). The
+	// gather keeps the answer type: one wire.Result per row, plus its
+	// owning shard and, for rows of a failed shard, the failure reason.
+	// BatchRows exist only for the JSON envelope.
 	byShard := make(map[*Shard][]int)
+	shardOf := make([]string, len(queries))
 	for i, q := range queries {
 		k := RouteKey(q.Lat, q.Lon, q.Speed, q.Bearing)
 		sh := topo.Owner(k)
 		byShard[sh] = append(byShard[sh], i)
+		shardOf[i] = sh.ID
 	}
 
-	rows := make([]BatchRow, len(queries))
-	var mu sync.Mutex // guards partial; rows are index-disjoint per shard
+	results := make([]wire.Result, len(queries))
+	failed := make([]string, len(queries)) // "" = served
+
+	var mu sync.Mutex // guards partial; results are index-disjoint per shard
 	partial := false
 	var wg sync.WaitGroup
 	for sh, idxs := range byShard {
@@ -166,13 +173,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				reason := shardFailureReason(sh, res)
 				for _, i := range idxs {
-					rows[i] = BatchRow{
-						Tier:     -1,
-						Degraded: true,
-						Missing:  []string{"shard:" + sh.ID},
-						Shard:    sh.ID,
-						Error:    reason,
-					}
+					results[i] = wire.Result{Tier: -1, Degraded: true, Missing: []string{"shard:" + sh.ID}}
+					failed[i] = reason
 					rt.m.batchRows.With("failed").Inc()
 				}
 				mu.Lock()
@@ -181,18 +183,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			for j, i := range idxs {
-				sr := served[j]
-				mbps := sr.Mbps
-				rows[i] = BatchRow{
-					Mbps: &mbps, Class: sr.Class, Source: sr.Source,
-					Tier: sr.Tier, Degraded: sr.Degraded, Missing: sr.Missing,
-					Shard: sh.ID,
-				}
-				if wantIval {
-					p10, p50, p90, cal := sr.P10, sr.Mbps, sr.P90, sr.HasInterval
-					rows[i].P10, rows[i].P50, rows[i].P90 = &p10, &p50, &p90
-					rows[i].Calibrated = &cal
-				}
+				results[i] = served[j]
 				rt.m.batchRows.With("served").Inc()
 			}
 		}(sh, idxs)
@@ -203,26 +194,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.m.partials.Inc()
 	}
 	if !partial && (accept == wire.ContentType || accept == wire.ContentTypeIntervals) {
-		rs := make([]wire.Result, len(rows))
-		for i := range rows {
-			br := &rows[i]
-			rs[i] = wire.Result{
-				Mbps: *br.Mbps, Class: br.Class, Source: br.Source,
-				Tier: br.Tier, Degraded: br.Degraded, Missing: br.Missing,
-			}
-			if br.P10 != nil && br.P90 != nil {
-				rs[i].P10, rs[i].P90 = *br.P10, *br.P90
-				rs[i].HasInterval = br.Calibrated != nil && *br.Calibrated
-			}
-		}
 		var frame []byte
 		var err error
 		ct := wire.ContentType
 		if accept == wire.ContentTypeIntervals {
-			frame, err = wire.AppendResultsIntervals(nil, rs)
+			frame, err = wire.AppendResultsIntervals(nil, results)
 			ct = wire.ContentTypeIntervals
 		} else {
-			frame, err = wire.AppendResults(nil, rs)
+			frame, err = wire.AppendResults(nil, results)
 		}
 		if err == nil {
 			w.Header().Set("Content-Type", ct)
@@ -233,7 +212,28 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// An unencodable merge (string-table overflow) falls back to
 		// the JSON envelope rather than failing the whole batch.
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Partial: partial, Rows: rows})
+	rows := make([]BatchRow, len(results))
+	for i := range results {
+		rows[i] = batchRow(&results[i], shardOf[i], failed[i], wantIval)
+	}
+	wire.WriteJSON(w, http.StatusOK, BatchResponse{Partial: partial, Rows: rows})
+}
+
+// batchRow renders one gathered row for the JSON envelope. A served row
+// carries its prediction, and its band when the batch negotiated
+// intervals; a failed row (non-empty reason) keeps mbps null and
+// carries the shard failure marker and reason. The pointers alias r,
+// which must outlive the encoding.
+func batchRow(r *wire.Result, shard, reason string, wantIval bool) BatchRow {
+	row := BatchRow{Tier: r.Tier, Degraded: r.Degraded, Missing: r.Missing, Shard: shard, Error: reason}
+	if reason != "" {
+		return row
+	}
+	row.Mbps, row.Class, row.Source = &r.Mbps, r.Class, r.Source
+	if wantIval {
+		row.P10, row.P50, row.P90, row.Calibrated = &r.P10, &r.Mbps, &r.P90, &r.HasInterval
+	}
+	return row
 }
 
 func shardFailureReason(sh *Shard, res attemptResult) string {
@@ -264,7 +264,7 @@ type CellsResponse struct {
 func (rt *Router) handleCells(w http.ResponseWriter, r *http.Request) {
 	topo := rt.Topology()
 	if topo == nil || len(topo.Shards) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no shards in topology")
+		wire.WriteError(w, http.StatusServiceUnavailable, "no shards in topology")
 		return
 	}
 	type shardCells struct {
@@ -308,7 +308,7 @@ func (rt *Router) handleCells(w http.ResponseWriter, r *http.Request) {
 	if resp.Partial {
 		rt.m.partials.Inc()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // fleetHealth is the router /healthz wire form.
@@ -337,7 +337,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	h := fleetHealth{OK: true}
 	if topo == nil {
 		h.OK = false
-		writeJSON(w, http.StatusOK, h)
+		wire.WriteJSON(w, http.StatusOK, h)
 		return
 	}
 	for _, sh := range topo.Shards {
@@ -353,7 +353,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		}
 		h.Shards = append(h.Shards, shh)
 	}
-	writeJSON(w, http.StatusOK, h)
+	wire.WriteJSON(w, http.StatusOK, h)
 }
 
 // handleMetrics serves the router's own fleet_* registry followed by

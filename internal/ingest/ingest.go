@@ -26,6 +26,7 @@ import (
 	"lumos5g/internal/geo"
 	"lumos5g/internal/obs"
 	"lumos5g/internal/radio"
+	"lumos5g/internal/wire"
 )
 
 // MaxBatchSamples bounds one POST /ingest body, mirroring the
@@ -196,20 +197,20 @@ func New(reg *obs.Registry, cfg Config) *Ingestor {
 func (ing *Ingestor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		ingestError(w, http.StatusMethodNotAllowed, "POST only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var samples []Sample
 	if err := json.NewDecoder(r.Body).Decode(&samples); err != nil {
-		ingestError(w, http.StatusBadRequest, "body must be a JSON array of samples: "+err.Error())
+		wire.WriteError(w, http.StatusBadRequest, "body must be a JSON array of samples: "+err.Error())
 		return
 	}
 	if len(samples) == 0 {
-		ingestError(w, http.StatusBadRequest, "empty batch")
+		wire.WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	if len(samples) > MaxBatchSamples {
-		ingestError(w, http.StatusBadRequest,
+		wire.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch of %d samples exceeds limit %d", len(samples), MaxBatchSamples))
 		return
 	}
@@ -221,10 +222,10 @@ func (ing *Ingestor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// shed middleware's convention so fleet retry logic treats
 		// both identically.
 		w.Header().Set("Retry-After", "1")
-		writeIngestJSON(w, http.StatusTooManyRequests, res)
+		wire.WriteJSON(w, http.StatusTooManyRequests, res)
 		return
 	}
-	writeIngestJSON(w, http.StatusOK, res)
+	wire.WriteJSON(w, http.StatusOK, res)
 }
 
 // Ingest gates and enqueues a decoded batch, returning the per-sample
@@ -413,14 +414,4 @@ func optF(p *float64) float64 {
 		return math.NaN()
 	}
 	return *p
-}
-
-func writeIngestJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func ingestError(w http.ResponseWriter, code int, msg string) {
-	writeIngestJSON(w, code, map[string]string{"error": msg})
 }

@@ -2,7 +2,6 @@ package mapserver
 
 import (
 	"container/list"
-	"math"
 	"sync"
 
 	"lumos5g/internal/engine"
@@ -27,7 +26,7 @@ import (
 // (SetChain / ReloadModelFile) installs a fresh empty cache, so a
 // response computed by an old model can never be served after the swap.
 //
-// The cache holds no counters of its own. getOrCompute reports what
+// The cache holds no counters of its own. run reports what
 // happened as a cacheOutcome and the handler — the single owner of the
 // serving counters — records it; only the two events the handler cannot
 // see (LRU evictions, leader-abandoned entries) surface through the
@@ -46,11 +45,13 @@ func quantizeKey(px geo.Pixel, speed, bearing *float64) predKey {
 	return engine.Quantize(px, speed, bearing)
 }
 
-// cacheOutcome says how getOrCompute answered, so the handler can keep
-// the counting identity responses = Σ tiers_served + hits + uncached
-// exact: a miss is the one case where the handler also published a
-// model walk; a hit served without one; uncached recomputed behind an
-// abandoned entry; invalid produced a value with no JSON encoding.
+// cacheOutcome says how a /predict answer was produced, so the handler
+// can keep the counting identity responses = Σ tiers_served + hits +
+// uncached exact: a miss is the one cached case where the handler also
+// published a model walk; a hit served without one; uncached recomputed
+// behind an abandoned entry; invalid produced a value with no JSON
+// encoding; off means no cache was involved (disabled, or a map-only
+// server), so the walk is published like a miss.
 type cacheOutcome uint8
 
 const (
@@ -58,6 +59,7 @@ const (
 	outcomeMiss
 	outcomeUncached
 	outcomeInvalid
+	outcomeOff
 )
 
 func (o cacheOutcome) String() string {
@@ -68,46 +70,26 @@ func (o cacheOutcome) String() string {
 		return "miss"
 	case outcomeUncached:
 		return "uncached"
+	case outcomeOff:
+		return "off"
 	default:
 		return "invalid"
 	}
-}
-
-// band is the uncertainty triple around a response's Mbps (the p50):
-// the conformal p10/p90 bounds and whether the serving tier carried a
-// real calibration (has=false means the triple is degenerate at Mbps).
-type band struct {
-	p10, p90 float64
-	has      bool
-}
-
-// degenerateBand pins the zero-width band at mbps.
-func degenerateBand(mbps float64) band { return band{p10: mbps, p90: mbps} }
-
-// bandOf extracts the band from an interval-carrying engine answer.
-func bandOf(p engine.Prediction) band {
-	return band{p10: p.P10, p90: p.P90, has: p.HasInterval}
-}
-
-// bandSafe reports whether the band has a JSON encoding (see wireSafe).
-func bandSafe(bd band) bool {
-	return !math.IsNaN(bd.p10) && !math.IsInf(bd.p10, 0) &&
-		!math.IsNaN(bd.p90) && !math.IsInf(bd.p90, 0)
 }
 
 // cacheEntry is one memoised prediction. One model walk fills both wire
 // forms — the interval-off body (bit-identical to the pre-interval
 // format) and the interval body — so a key serves either negotiation
 // from the same entry and the cache stays keyed on the quantized query
-// alone. ready is closed by the leader after resp/body/ibody are
-// written; a nil body after ready means the leader failed mid-compute
-// (it panicked, or produced a wire-unsafe value) and the reader must
-// compute for itself.
+// alone. ready is closed by the leader after p/body/ibody are written;
+// a nil body after ready means the leader failed mid-compute (it
+// panicked, or produced a value with no JSON encoding) and the reader
+// must compute for itself.
 type cacheEntry struct {
 	ready chan struct{}
-	resp  predictResponse
-	body  []byte // marshalled point JSON wire form, newline-terminated
-	ibody []byte // marshalled interval JSON wire form, newline-terminated
+	p     engine.Prediction
+	body  []byte // point JSON wire form, newline-terminated
+	ibody []byte // interval JSON wire form, newline-terminated
 }
 
 type lruItem struct {
@@ -157,36 +139,20 @@ func (c *predCache) dropEntry(key predKey, el *list.Element) {
 	c.mu.Unlock()
 }
 
-// computer produces one prediction (point form plus band) for a cache
-// miss. The hot path passes the handler's pooled predictCall so a
-// request allocates no per-call closure; tests use the computeFunc
-// adapter.
+// computer produces one prediction (with its band) for a cache miss.
+// The hot path passes the handler's pooled predictCall so a request
+// allocates no per-call closure.
 type computer interface {
-	computePredict() (predictResponse, band)
+	computePredict() engine.Prediction
 }
 
-// computeFunc adapts a plain point-form function to the computer
-// interface with the degenerate band.
-type computeFunc func() predictResponse
-
-func (f computeFunc) computePredict() (predictResponse, band) {
-	resp := f()
-	return resp, degenerateBand(resp.Mbps)
-}
-
-// getOrCompute is the closure-taking form of run, kept for tests and
-// non-hot callers (point bodies only).
-func (c *predCache) getOrCompute(key predKey, compute func() predictResponse) (predictResponse, []byte, cacheOutcome) {
-	return c.run(key, computeFunc(compute), false)
-}
-
-// run returns the response and wire body for key, computing and
+// run returns the prediction and wire body for key, computing and
 // inserting it (once, whatever the concurrency) on a miss. wantIval
 // selects which of the entry's two bodies is returned; the leader
 // renders both, so the flavor a key was first asked in never decides
 // what later requests can negotiate. A nil body (outcomeInvalid) means
-// the computed response has no JSON wire form and must not be served.
-func (c *predCache) run(key predKey, comp computer, wantIval bool) (predictResponse, []byte, cacheOutcome) {
+// the computed prediction has no JSON wire form and must not be served.
+func (c *predCache) run(key predKey, comp computer, wantIval bool) (engine.Prediction, []byte, cacheOutcome) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
@@ -194,18 +160,15 @@ func (c *predCache) run(key predKey, comp computer, wantIval bool) (predictRespo
 		c.mu.Unlock()
 		<-e.ready
 		if e.body != nil {
-			if wantIval {
-				return e.resp, e.ibody, outcomeHit
-			}
-			return e.resp, e.body, outcomeHit
+			return e.p, e.flavor(wantIval), outcomeHit
 		}
 		// The leader abandoned the entry; answer uncached.
-		resp, bd := comp.computePredict()
-		body := marshalFlavor(resp, bd, wantIval)
+		p := comp.computePredict()
+		body := predictBody(p, wantIval)
 		if body == nil {
-			return resp, nil, outcomeInvalid
+			return p, nil, outcomeInvalid
 		}
-		return resp, body, outcomeUncached
+		return p, body, outcomeUncached
 	}
 	e := &cacheEntry{ready: make(chan struct{})}
 	el := c.ll.PushFront(&lruItem{key: key, e: e})
@@ -232,78 +195,30 @@ func (c *predCache) run(key predKey, comp computer, wantIval bool) (predictRespo
 			}
 		}
 	}()
-	resp, bd := comp.computePredict()
-	body := marshalResponse(resp)
-	ibody := marshalIntervalResponse(resp, bd)
+	p := comp.computePredict()
+	body, ibody := predictBody(p, false), predictBody(p, true)
 	done = true
-	if body == nil || ibody == nil {
-		// Wire-unsafe value: never publish it. Drop the entry so the key
-		// stays computable, unblock waiters (they recompute for
-		// themselves), and report the abandonment.
+	if body == nil {
+		// No JSON encoding (both flavours share one finiteness rule):
+		// never publish it. Drop the entry so the key stays computable,
+		// unblock waiters (they recompute for themselves), and report
+		// the abandonment.
 		c.dropEntry(key, el)
 		close(e.ready)
 		if c.onAbandon != nil {
 			c.onAbandon()
 		}
-		return resp, nil, outcomeInvalid
+		return p, nil, outcomeInvalid
 	}
-	e.resp = resp
-	e.body = body
-	e.ibody = ibody
+	e.p, e.body, e.ibody = p, body, ibody
 	close(e.ready)
+	return e.p, e.flavor(wantIval), outcomeMiss
+}
+
+// flavor returns the body for the negotiated wire form.
+func (e *cacheEntry) flavor(wantIval bool) []byte {
 	if wantIval {
-		return e.resp, e.ibody, outcomeMiss
+		return e.ibody
 	}
-	return e.resp, e.body, outcomeMiss
-}
-
-// wireSafe reports whether a response can be encoded to JSON at all:
-// encoding/json has no representation for NaN or ±Inf, and the chain's
-// "never returns them" guarantee does not survive hostile model
-// artifacts or degenerate maps, so the serving path checks instead of
-// trusting.
-func wireSafe(resp predictResponse) bool {
-	return !math.IsNaN(resp.Mbps) && !math.IsInf(resp.Mbps, 0)
-}
-
-// marshalResponse renders the wire body exactly as json.Encoder would
-// (trailing newline included) so cached and uncached responses are
-// byte-identical. Returns nil — never panics — when the response has no
-// JSON encoding; the caller turns that into a clean 500. The body is
-// rendered once and memoised alongside the cache entry, so a hit never
-// pays the encoding again.
-func marshalResponse(resp predictResponse) []byte {
-	b := make([]byte, 0, 128)
-	return appendMarshalResponse(b, resp)
-}
-
-// appendMarshalResponse is marshalResponse into a caller-owned buffer.
-// NOTE: cached bodies must own their bytes — only pass a fresh buffer
-// when the result is stored.
-func appendMarshalResponse(dst []byte, resp predictResponse) []byte {
-	if !wireSafe(resp) {
-		return nil
-	}
-	dst = appendPredictResponse(dst, resp)
-	return append(dst, '\n')
-}
-
-// marshalIntervalResponse is marshalResponse for the interval wire
-// form: the response with its p10/p50/p90 band spliced in. Nil when
-// either the point value or the band has no JSON encoding.
-func marshalIntervalResponse(resp predictResponse, bd band) []byte {
-	if !wireSafe(resp) || !bandSafe(bd) {
-		return nil
-	}
-	b := make([]byte, 0, 160)
-	b = appendPredictIntervalResponse(b, intervalResponse(resp, bd))
-	return append(b, '\n')
-}
-
-// marshalFlavor renders whichever wire form the request negotiated.
-func marshalFlavor(resp predictResponse, bd band, wantIval bool) []byte {
-	if wantIval {
-		return marshalIntervalResponse(resp, bd)
-	}
-	return marshalResponse(resp)
+	return e.body
 }

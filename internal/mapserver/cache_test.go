@@ -7,11 +7,13 @@ import (
 	"math"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"lumos5g"
+	"lumos5g/internal/engine"
 	"lumos5g/internal/geo"
 )
 
@@ -100,35 +102,35 @@ func TestPredCacheLRUAndOutcomes(t *testing.T) {
 	var evictions, abandoned atomic.Uint64
 	c := newPredCache(2, func() { evictions.Add(1) }, func() { abandoned.Add(1) })
 	mk := func(i int) predKey { return predKey{Col: int32(i)} }
-	val := func(i int) func() predictResponse {
-		return func() predictResponse { return predictResponse{Mbps: float64(i)} }
+	val := func(i int) computerFunc {
+		return func() engine.Prediction { return engine.Prediction{Mbps: float64(i)} }
 	}
-	if r, _, o := c.getOrCompute(mk(1), val(1)); r.Mbps != 1 || o != outcomeMiss {
+	if r, _, o := c.run(mk(1), val(1), false); r.Mbps != 1 || o != outcomeMiss {
 		t.Fatalf("miss compute: %+v %v", r, o)
 	}
-	c.getOrCompute(mk(2), val(2))
+	c.run(mk(2), val(2), false)
 	// Hit on 1 refreshes its recency, so inserting 3 must evict 2.
-	if _, _, o := c.getOrCompute(mk(1), func() predictResponse {
+	if _, _, o := c.run(mk(1), computerFunc(func() engine.Prediction {
 		t.Error("hit must not compute")
-		return predictResponse{}
-	}); o != outcomeHit {
+		return engine.Prediction{}
+	}), false); o != outcomeHit {
 		t.Fatalf("outcome: %v", o)
 	}
-	c.getOrCompute(mk(3), val(3))
+	c.run(mk(3), val(3), false)
 	if got := evictions.Load(); got != 1 {
 		t.Fatalf("evictions after first overflow: %d", got)
 	}
 	recomputed := false
-	c.getOrCompute(mk(2), func() predictResponse { recomputed = true; return predictResponse{} })
+	c.run(mk(2), computerFunc(func() engine.Prediction { recomputed = true; return engine.Prediction{} }), false)
 	if !recomputed {
 		t.Fatal("LRU evicted the wrong entry (2 should have been dropped)")
 	}
 	// Re-inserting 2 pushed the store over capacity again, evicting the
 	// then-oldest entry (1); 3 must have survived as the other resident.
-	c.getOrCompute(mk(3), func() predictResponse {
+	c.run(mk(3), computerFunc(func() engine.Prediction {
 		t.Error("3 must have survived the eviction")
-		return predictResponse{}
-	})
+		return engine.Prediction{}
+	}), false)
 	if e, a := evictions.Load(), abandoned.Load(); e != 2 || a != 0 {
 		t.Fatalf("evictions %d abandoned %d", e, a)
 	}
@@ -156,11 +158,11 @@ func TestPredCacheSingleflight(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		var o cacheOutcome
-		_, leaderBody, o = c.getOrCompute(key, func() predictResponse {
+		_, leaderBody, o = c.run(key, computerFunc(func() engine.Prediction {
 			close(started)
 			<-release
-			return predictResponse{Mbps: 42, Source: "L"}
-		})
+			return engine.Prediction{Mbps: 42, Source: "L"}
+		}), false)
 		if o != outcomeMiss {
 			t.Errorf("leader outcome: %v", o)
 		}
@@ -175,10 +177,10 @@ func TestPredCacheSingleflight(t *testing.T) {
 		fwg.Add(1)
 		go func(i int) {
 			defer fwg.Done()
-			_, bodies[i], outcomes[i] = c.getOrCompute(key, func() predictResponse {
+			_, bodies[i], outcomes[i] = c.run(key, computerFunc(func() engine.Prediction {
 				t.Error("follower compute ran — singleflight broken")
-				return predictResponse{}
-			})
+				return engine.Prediction{}
+			}), false)
 		}(i)
 	}
 	close(release)
@@ -200,7 +202,7 @@ func TestPredCacheLeaderPanicRecovers(t *testing.T) {
 	key := predKey{Col: 9}
 	func() {
 		defer func() { _ = recover() }()
-		c.getOrCompute(key, func() predictResponse { panic("model exploded") })
+		c.run(key, computerFunc(func() engine.Prediction { panic("model exploded") }), false)
 	}()
 	if c.size() != 0 {
 		t.Fatal("abandoned entry must be removed")
@@ -209,7 +211,7 @@ func TestPredCacheLeaderPanicRecovers(t *testing.T) {
 		t.Fatalf("abandoned hook: %d", abandoned.Load())
 	}
 	// The key is computable again — no wedged pending entry.
-	r, body, o := c.getOrCompute(key, func() predictResponse { return predictResponse{Mbps: 7} })
+	r, body, o := c.run(key, computerFunc(func() engine.Prediction { return engine.Prediction{Mbps: 7} }), false)
 	if r.Mbps != 7 || len(body) == 0 || o != outcomeMiss {
 		t.Fatalf("recompute after panic: %+v %q %v", r, body, o)
 	}
@@ -223,9 +225,9 @@ func TestPredCacheNonFiniteLeader(t *testing.T) {
 	var abandoned atomic.Uint64
 	c := newPredCache(8, nil, func() { abandoned.Add(1) })
 	key := predKey{Col: 11}
-	_, body, o := c.getOrCompute(key, func() predictResponse {
-		return predictResponse{Mbps: math.NaN()}
-	})
+	_, body, o := c.run(key, computerFunc(func() engine.Prediction {
+		return engine.Prediction{Mbps: math.NaN()}
+	}), false)
 	if body != nil || o != outcomeInvalid {
 		t.Fatalf("NaN leader: body %q outcome %v", body, o)
 	}
@@ -235,22 +237,24 @@ func TestPredCacheNonFiniteLeader(t *testing.T) {
 	if abandoned.Load() != 1 {
 		t.Fatalf("abandoned hook: %d", abandoned.Load())
 	}
-	r, body, o := c.getOrCompute(key, func() predictResponse { return predictResponse{Mbps: 5} })
+	r, body, o := c.run(key, computerFunc(func() engine.Prediction { return engine.Prediction{Mbps: 5} }), false)
 	if r.Mbps != 5 || body == nil || o != outcomeMiss {
 		t.Fatalf("recompute after invalid: %+v %q %v", r, body, o)
 	}
 }
 
 // TestMarshalResponseNonFinite is the regression for the panic that
-// lived here: marshalResponse must return nil — not panic — for every
-// non-finite Mbps.
+// lived here: the /predict body renderer must return nil — not panic —
+// for every non-finite Mbps, in both flavours.
 func TestMarshalResponseNonFinite(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if b := marshalResponse(predictResponse{Mbps: v}); b != nil {
-			t.Fatalf("Mbps=%v must have no wire form, got %q", v, b)
+		for _, ival := range []bool{false, true} {
+			if b := predictBody(engine.Prediction{Mbps: v}, ival); b != nil {
+				t.Fatalf("Mbps=%v intervals=%v must have no wire form, got %q", v, ival, b)
+			}
 		}
 	}
-	if b := marshalResponse(predictResponse{Mbps: 12}); b == nil || b[len(b)-1] != '\n' {
+	if b := predictBody(engine.Prediction{Mbps: 12}, false); b == nil || b[len(b)-1] != '\n' {
 		t.Fatalf("finite response must marshal newline-terminated: %q", b)
 	}
 }
@@ -333,6 +337,85 @@ func TestPredictCacheDisabled(t *testing.T) {
 	}
 	if h.CacheHits != 0 || h.CacheMisses != 0 || h.CacheEntries != 0 {
 		t.Fatalf("disabled cache counted: %+v", h)
+	}
+}
+
+// TestPredictBodiesCacheOnOffMapOnly guards the single /predict tail:
+// a cache miss, a cache hit and a cache-off recompute of one query
+// answer with the same bytes in both flavours, and a map-only server
+// (nil chain) serves the degenerate band without observing the
+// model-walk latency histogram.
+func TestPredictBodiesCacheOnOffMapOnly(t *testing.T) {
+	tm, _ := setup(t)
+	_, chain := ivalSetup(t) // calibrated: the interval flavour carries a real band
+	serve := func(c *lumos5g.FallbackChain, opts ...Option) *httptest.Server {
+		s, err := NewWithChain(tm, c, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(s)
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	on, off, mapOnly := serve(chain), serve(chain, WithPredictCacheSize(0)), serve(nil)
+
+	queries := []string{
+		fmt.Sprintf("lat=%f&lon=%f&speed=4.5&bearing=10", testLat, testLon),
+		fmt.Sprintf("lat=%f&lon=%f", testLat, testLon),
+		"lat=0&lon=0",
+	}
+	sources := map[string]bool{}
+	for qi, q := range queries {
+		// Alternate which flavour leads, so both flavours are served as
+		// a cache miss and as a hit.
+		flavours := []string{"", "&intervals=1"}
+		if qi%2 == 1 {
+			flavours[0], flavours[1] = flavours[1], flavours[0]
+		}
+		for _, fl := range flavours {
+			path := "/predict?" + q + fl
+			var bodies []string
+			for _, base := range []string{on.URL, on.URL, off.URL, off.URL} {
+				resp, body := get(t, base+path)
+				if resp.StatusCode != 200 {
+					t.Fatalf("%s: %d %s", path, resp.StatusCode, body)
+				}
+				bodies = append(bodies, body)
+			}
+			for i := 1; i < len(bodies); i++ {
+				if bodies[i] != bodies[0] {
+					t.Fatalf("%s: body %d differs from the cache-on miss:\n%s\n%s", path, i, bodies[i], bodies[0])
+				}
+			}
+
+			resp, body := get(t, mapOnly.URL+path)
+			if resp.StatusCode != 200 {
+				t.Fatalf("map-only %s: %d %s", path, resp.StatusCode, body)
+			}
+			var iv predictIntervalResponse
+			if err := json.Unmarshal([]byte(body), &iv); err != nil {
+				t.Fatal(err)
+			}
+			sources[iv.Source] = true
+			if fl != "" && (iv.P10 != iv.Mbps || iv.P50 != iv.Mbps || iv.P90 != iv.Mbps) {
+				t.Fatalf("map-only %s: band not degenerate at mbps: %+v", path, iv)
+			}
+		}
+	}
+	if !sources["map-cell"] || !sources["map-mean"] {
+		t.Fatalf("map-only server answered from %v, want map-cell and map-mean", sources)
+	}
+
+	const walk = "lumos_predict_tier_duration_seconds"
+	if _, m := get(t, on.URL+"/metrics"); !strings.Contains(m, walk) {
+		t.Fatalf("cache-on server exposes no %s series", walk)
+	}
+	_, m := get(t, mapOnly.URL+"/metrics")
+	for _, line := range strings.Split(m, "\n") {
+		if strings.HasPrefix(line, walk) &&
+			(strings.Contains(line, `tier="map-cell"`) || strings.Contains(line, `tier="map-mean"`)) {
+			t.Fatalf("map-only answer observed a model walk: %s", line)
+		}
 	}
 }
 

@@ -5,14 +5,17 @@ import (
 	"strconv"
 	"sync"
 	"unicode/utf8"
+
+	"lumos5g/internal/engine"
 )
 
 // Hand-rolled JSON rendering of the /predict wire form. The byte output
-// is pinned — by TestAppendPredictResponseMatchesStdlib — to be exactly
-// what encoding/json produces for predictResponse (default HTML
-// escaping included), so cached bodies, uncached recomputes and batch
-// rows stay byte-identical with the historical wire format while
-// skipping the reflection walk and per-call scratch of json.Marshal.
+// is pinned — by the stdlib-parity tests in encode_test.go and
+// interval_test.go — to be exactly what encoding/json produces for the
+// historical response structs (default HTML escaping included), so
+// cached bodies, uncached recomputes and batch rows stay byte-identical
+// with the historical wire format while skipping the reflection walk
+// and per-call scratch of json.Marshal.
 
 // jsonSafe marks the ASCII bytes encoding/json copies through verbatim
 // inside a string (its htmlSafeSet): printable, minus the JSON escapes
@@ -81,7 +84,7 @@ func appendJSONString(dst []byte, s string) []byte {
 
 // appendJSONFloat appends a finite float exactly as encoding/json does:
 // shortest 'f' form in [1e-6, 1e21), otherwise 'e' with the exponent's
-// leading zero stripped. The caller guarantees finiteness (wireSafe).
+// leading zero stripped. The caller guarantees finiteness.
 func appendJSONFloat(dst []byte, f float64) []byte {
 	abs := math.Abs(f)
 	format := byte('f')
@@ -98,24 +101,46 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// appendPredictResponse appends one prediction object, byte-identical
-// to json.Marshal of the struct (field order is the struct's).
-func appendPredictResponse(dst []byte, r predictResponse) []byte {
+// appendPrediction appends p as one /predict JSON object — the single
+// wire rendering of an engine answer, shared by /predict bodies (cached
+// or not) and /predict/batch rows. The point form is
+//
+//	{"mbps","class","group","source","tier","degraded"[,"missing"]}
+//
+// with group mirroring source for clients of the pre-fallback API and
+// missing omitted when empty. With ival the p10/p50/p90 band follows
+// mbps; p50 repeats mbps so clients reading only the triple see a
+// complete quantile set, and interval-off answers keep the historical
+// field set byte for byte. Returns nil when p has no JSON encoding
+// (see engine.Prediction.Finite); the caller turns that into a clean
+// 500.
+func appendPrediction(dst []byte, p engine.Prediction, ival bool) []byte {
+	if !p.Finite() {
+		return nil
+	}
 	dst = append(dst, `{"mbps":`...)
-	dst = appendJSONFloat(dst, r.Mbps)
+	dst = appendJSONFloat(dst, p.Mbps)
+	if ival {
+		dst = append(dst, `,"p10":`...)
+		dst = appendJSONFloat(dst, p.P10)
+		dst = append(dst, `,"p50":`...)
+		dst = appendJSONFloat(dst, p.Mbps)
+		dst = append(dst, `,"p90":`...)
+		dst = appendJSONFloat(dst, p.P90)
+	}
 	dst = append(dst, `,"class":`...)
-	dst = appendJSONString(dst, r.Class)
+	dst = appendJSONString(dst, p.Class)
 	dst = append(dst, `,"group":`...)
-	dst = appendJSONString(dst, r.Group)
+	dst = appendJSONString(dst, p.Source)
 	dst = append(dst, `,"source":`...)
-	dst = appendJSONString(dst, r.Source)
+	dst = appendJSONString(dst, p.Source)
 	dst = append(dst, `,"tier":`...)
-	dst = strconv.AppendInt(dst, int64(r.Tier), 10)
+	dst = strconv.AppendInt(dst, int64(p.Tier), 10)
 	dst = append(dst, `,"degraded":`...)
-	dst = strconv.AppendBool(dst, r.Degraded)
-	if len(r.Missing) > 0 {
+	dst = strconv.AppendBool(dst, p.Degraded)
+	if len(p.Missing) > 0 {
 		dst = append(dst, `,"missing":[`...)
-		for i, m := range r.Missing {
+		for i, m := range p.Missing {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
@@ -126,67 +151,20 @@ func appendPredictResponse(dst []byte, r predictResponse) []byte {
 	return append(dst, '}')
 }
 
-// predictIntervalResponse is the /predict wire form when intervals are
-// negotiated (?intervals=1): the point fields of predictResponse with
-// the p10/p50/p90 band spliced in right after mbps. P50 always equals
-// Mbps — it is repeated so clients reading only the triple see a
-// complete quantile set. Kept as its own struct so the stdlib-parity
-// test pins this encoder the same way the point form is pinned, and so
-// interval-off responses keep the historical field set byte for byte.
-type predictIntervalResponse struct {
-	Mbps     float64  `json:"mbps"`
-	P10      float64  `json:"p10"`
-	P50      float64  `json:"p50"`
-	P90      float64  `json:"p90"`
-	Class    string   `json:"class"`
-	Group    string   `json:"group"`
-	Source   string   `json:"source"`
-	Tier     int      `json:"tier"`
-	Degraded bool     `json:"degraded"`
-	Missing  []string `json:"missing,omitempty"`
-}
-
-// intervalResponse splices a band into the point wire form.
-func intervalResponse(r predictResponse, bd band) predictIntervalResponse {
-	return predictIntervalResponse{
-		Mbps: r.Mbps, P10: bd.p10, P50: r.Mbps, P90: bd.p90,
-		Class: r.Class, Group: r.Group, Source: r.Source,
-		Tier: r.Tier, Degraded: r.Degraded, Missing: r.Missing,
+// predictBody renders p as a complete /predict body: appendPrediction
+// plus the trailing newline json.Encoder frames every value with. The
+// buffer is fresh because cache entries keep it; nil when p has no
+// JSON encoding.
+func predictBody(p engine.Prediction, ival bool) []byte {
+	n := 128
+	if ival {
+		n = 160
 	}
-}
-
-// appendPredictIntervalResponse appends one interval prediction object,
-// byte-identical to json.Marshal of predictIntervalResponse.
-func appendPredictIntervalResponse(dst []byte, r predictIntervalResponse) []byte {
-	dst = append(dst, `{"mbps":`...)
-	dst = appendJSONFloat(dst, r.Mbps)
-	dst = append(dst, `,"p10":`...)
-	dst = appendJSONFloat(dst, r.P10)
-	dst = append(dst, `,"p50":`...)
-	dst = appendJSONFloat(dst, r.P50)
-	dst = append(dst, `,"p90":`...)
-	dst = appendJSONFloat(dst, r.P90)
-	dst = append(dst, `,"class":`...)
-	dst = appendJSONString(dst, r.Class)
-	dst = append(dst, `,"group":`...)
-	dst = appendJSONString(dst, r.Group)
-	dst = append(dst, `,"source":`...)
-	dst = appendJSONString(dst, r.Source)
-	dst = append(dst, `,"tier":`...)
-	dst = strconv.AppendInt(dst, int64(r.Tier), 10)
-	dst = append(dst, `,"degraded":`...)
-	dst = strconv.AppendBool(dst, r.Degraded)
-	if len(r.Missing) > 0 {
-		dst = append(dst, `,"missing":[`...)
-		for i, m := range r.Missing {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendJSONString(dst, m)
-		}
-		dst = append(dst, ']')
+	b := appendPrediction(make([]byte, 0, n), p, ival)
+	if b == nil {
+		return nil
 	}
-	return append(dst, '}')
+	return append(b, '\n')
 }
 
 // batchBufPool recycles the response-staging buffers of the batch

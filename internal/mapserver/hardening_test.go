@@ -42,6 +42,12 @@ func TestHealthzDegradedWithoutModel(t *testing.T) {
 	}
 }
 
+// apiError is the structured error body every route answers with
+// (wire.WriteError).
+type apiError struct {
+	Error string `json:"error"`
+}
+
 func TestRecoveryMiddlewareTurnsPanicInto500(t *testing.T) {
 	h := withRecovery(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("handler bug")

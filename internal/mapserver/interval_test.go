@@ -10,11 +10,12 @@ import (
 	"testing"
 
 	"lumos5g"
+	"lumos5g/internal/engine"
 	"lumos5g/internal/wire"
 )
 
-// TestAppendPredictIntervalResponseMatchesStdlib pins the interval wire
-// encoder to encoding/json byte for byte, over the same float forms,
+// TestAppendPredictIntervalResponseMatchesStdlib pins the interval form
+// of the wire encoder to encoding/json byte for byte, over the same float forms,
 // string escape classes and omitempty boundary the point encoder is
 // pinned on.
 func TestAppendPredictIntervalResponseMatchesStdlib(t *testing.T) {
@@ -32,26 +33,24 @@ func TestAppendPredictIntervalResponseMatchesStdlib(t *testing.T) {
 	var i int
 	for _, f := range floats {
 		for _, s := range strs {
-			resp := predictIntervalResponse{
+			p := engine.Prediction{
 				Mbps:     f,
 				P10:      floats[i%len(floats)],
-				P50:      f,
 				P90:      floats[(i+5)%len(floats)],
 				Class:    s,
-				Group:    strs[i%len(strs)],
 				Source:   strs[(i+3)%len(strs)],
 				Tier:     i%5 - 1,
 				Degraded: i%2 == 0,
 				Missing:  missing[i%len(missing)],
 			}
 			i++
-			want, err := json.Marshal(resp)
+			want, err := json.Marshal(intervalRef(p))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := appendPredictIntervalResponse(nil, resp)
+			got := appendPrediction(nil, p, true)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("interval encoder diverges for %+v:\n got %s\nwant %s", resp, got, want)
+				t.Fatalf("interval encoder diverges for %+v:\n got %s\nwant %s", p, got, want)
 			}
 		}
 	}
@@ -61,19 +60,20 @@ func TestAppendPredictIntervalResponseMatchesStdlib(t *testing.T) {
 // body to json.Encoder output (trailing newline included), and the nil
 // returns on wire-unsafe values and bands.
 func TestMarshalIntervalResponseMatchesEncoder(t *testing.T) {
-	resp := predictResponse{Mbps: 432.1875, Class: "High", Group: "L+M", Source: "L+M", Tier: 0}
-	bd := band{p10: 301.5, p90: 598.25, has: true}
+	p := engine.Prediction{Mbps: 432.1875, Class: "High", Source: "L+M", Tier: 0, P10: 301.5, P90: 598.25, HasInterval: true}
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(intervalResponse(resp, bd)); err != nil {
+	if err := json.NewEncoder(&buf).Encode(intervalRef(p)); err != nil {
 		t.Fatal(err)
 	}
-	if got := marshalIntervalResponse(resp, bd); !bytes.Equal(got, buf.Bytes()) {
-		t.Fatalf("marshalIntervalResponse %q != json.Encoder %q", got, buf.Bytes())
+	if got := predictBody(p, true); !bytes.Equal(got, buf.Bytes()) {
+		t.Fatalf("predictBody %q != json.Encoder %q", got, buf.Bytes())
 	}
-	if marshalIntervalResponse(predictResponse{Mbps: math.NaN()}, bd) != nil {
+	if predictBody(engine.Prediction{Mbps: math.NaN(), P10: p.P10, P90: p.P90}, true) != nil {
 		t.Fatal("non-finite mbps must have no interval wire form")
 	}
-	if marshalIntervalResponse(resp, band{p10: math.Inf(1), p90: 1}) != nil {
+	bad := p
+	bad.P10 = math.Inf(1)
+	if predictBody(bad, true) != nil {
 		t.Fatal("non-finite band must have no interval wire form")
 	}
 }
@@ -265,9 +265,8 @@ func TestPredictBatchIntervals(t *testing.T) {
 // must satisfy both negotiations as hits.
 func TestCacheDualBody(t *testing.T) {
 	c := newPredCache(8, nil, nil)
-	resp := predictResponse{Mbps: 500, Class: "High", Group: "L", Source: "L", Tier: 1}
-	bd := band{p10: 400, p90: 620, has: true}
-	comp := computerFunc(func() (predictResponse, band) { return resp, bd })
+	p := engine.Prediction{Mbps: 500, Class: "High", Source: "L", Tier: 1, P10: 400, P90: 620, HasInterval: true}
+	comp := computerFunc(func() engine.Prediction { return p })
 	key := predKey{}
 
 	_, body, outcome := c.run(key, comp, false)
@@ -285,12 +284,12 @@ func TestCacheDualBody(t *testing.T) {
 	if err := json.Unmarshal(ibody, &iv); err != nil {
 		t.Fatal(err)
 	}
-	if iv.P10 != bd.p10 || iv.P90 != bd.p90 || iv.P50 != resp.Mbps {
+	if iv.P10 != p.P10 || iv.P90 != p.P90 || iv.P50 != p.Mbps {
 		t.Fatalf("cached interval body %+v does not carry the leader's band", iv)
 	}
 }
 
-// computerFunc adapts a two-value function to the computer seam.
-type computerFunc func() (predictResponse, band)
+// computerFunc adapts a plain function to the cache's computer seam.
+type computerFunc func() engine.Prediction
 
-func (f computerFunc) computePredict() (predictResponse, band) { return f() }
+func (f computerFunc) computePredict() engine.Prediction { return f() }

@@ -337,7 +337,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			h.TiersServed[i] = m.tierServed.Total(map[string]string{"tier": name})
 		}
 	}
-	writeJSON(w, http.StatusOK, h)
+	wire.WriteJSON(w, http.StatusOK, h)
 }
 
 func (s *Server) handleSVG(w http.ResponseWriter, _ *http.Request) {
@@ -373,41 +373,13 @@ func (s *Server) handleCells(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 	chain := s.Chain()
 	if chain == nil {
-		writeError(w, http.StatusNotFound, "no model published")
+		wire.WriteError(w, http.StatusNotFound, "no model published")
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", `attachment; filename="lumos5g-chain.l5g"`)
 	if err := chain.Save(w); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-	}
-}
-
-// predictResponse is the /predict wire form. Tier and Source attribute
-// the serving model tier; Tier is -1 when the map itself answered
-// (Source "map-cell" or "map-mean"). Group mirrors Source for clients of
-// the pre-fallback API.
-type predictResponse struct {
-	Mbps     float64  `json:"mbps"`
-	Class    string   `json:"class"`
-	Group    string   `json:"group"`
-	Source   string   `json:"source"`
-	Tier     int      `json:"tier"`
-	Degraded bool     `json:"degraded"`
-	Missing  []string `json:"missing,omitempty"`
-}
-
-// engineResponse converts one engine answer to the wire form. Group
-// mirrors Source for clients of the pre-fallback API.
-func engineResponse(p engine.Prediction) predictResponse {
-	return predictResponse{
-		Mbps:     p.Mbps,
-		Class:    p.Class,
-		Group:    p.Source,
-		Source:   p.Source,
-		Tier:     p.Tier,
-		Degraded: p.Degraded,
-		Missing:  p.Missing,
+		wire.WriteError(w, http.StatusInternalServerError, err.Error())
 	}
 }
 
@@ -425,21 +397,24 @@ type predictCall struct {
 
 var predictCallPool = sync.Pool{New: func() any { return new(predictCall) }}
 
-// computePredict implements the cache's computer seam: one model walk,
-// observed into the tier-latency histogram. The walk always carries the
-// band (same tier decision and Mbps as Predict — the interval is two
-// extra adds) so a single cache entry serves both negotiations.
-func (pc *predictCall) computePredict() (predictResponse, band) {
+// computePredict implements the cache's computer seam: one answer with
+// its band (same tier decision and Mbps as Predict — the interval is two
+// extra adds — so a single cache entry serves both negotiations; map
+// answers carry the degenerate band). Only a model walk is observed
+// into the tier-latency histogram.
+func (pc *predictCall) computePredict() engine.Prediction {
 	p := pc.eng.PredictInterval(pc.px, pc.q.Speed, pc.q.Bearing)
-	pc.s.m.tierLatency.With(p.Source).Observe(p.Walk.Seconds())
-	return engineResponse(p), bandOf(p)
+	if pc.eng.Chain() != nil {
+		pc.s.m.tierLatency.With(p.Source).Observe(p.Walk.Seconds())
+	}
+	return p
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	pc := predictCallPool.Get().(*predictCall)
 	defer predictCallPool.Put(pc)
 	if err := wire.ParseQuery(r.URL.RawQuery, &pc.q); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	pc.s = s
@@ -449,69 +424,54 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// under the write lock, so a request never mixes an old cache with a
 	// new model. A request that raced a swap finishes on the pair it saw
 	// — the old cache is unreachable afterwards, so its answers die with
-	// it.
+	// it. A map-only server has no cache.
 	s.mu.RLock()
 	pc.eng = s.eng
 	cache := s.cache
 	s.mu.RUnlock()
-	const route = "/predict"
-	wantIval := pc.q.Intervals
-	if pc.eng.Chain() == nil {
-		resp := engineResponse(pc.eng.MapOnly(pc.px))
-		body := marshalFlavor(resp, degenerateBand(resp.Mbps), wantIval)
-		if body == nil {
-			s.m.nonFinite.Inc()
-			writeError(w, http.StatusInternalServerError, "prediction is not finite")
-			return
-		}
-		s.m.tierServed.With(route, resp.Source).Inc()
-		annotatePredict(r.Context(), resp.Tier, resp.Source, "off")
-		writeJSONBytes(w, http.StatusOK, body)
-		return
-	}
+	var (
+		p       engine.Prediction
+		body    []byte
+		outcome = outcomeOff
+	)
 	if cache == nil {
-		resp, bd := pc.computePredict()
-		body := marshalFlavor(resp, bd, wantIval)
-		if body == nil {
-			s.m.nonFinite.Inc()
-			writeError(w, http.StatusInternalServerError, "prediction is not finite")
-			return
-		}
-		s.m.tierServed.With(route, resp.Source).Inc()
-		annotatePredict(r.Context(), resp.Tier, resp.Source, "off")
-		writeJSONBytes(w, http.StatusOK, body)
-		return
+		p = pc.computePredict()
+		body = predictBody(p, pc.q.Intervals)
+	} else {
+		p, body, outcome = cache.run(quantizeKey(pc.px, pc.q.Speed, pc.q.Bearing), pc, pc.q.Intervals)
 	}
-	resp, body, outcome := cache.run(quantizeKey(pc.px, pc.q.Speed, pc.q.Bearing), pc, wantIval)
-	if outcome == outcomeInvalid || body == nil {
+	if body == nil {
 		s.m.nonFinite.Inc()
-		writeError(w, http.StatusInternalServerError, "prediction is not finite")
+		wire.WriteError(w, http.StatusInternalServerError, "prediction is not finite")
 		return
 	}
 	// The handler owns the counting identity: a 200 is exactly one of a
-	// published model walk (miss), a hit, or an uncached recompute.
+	// published model walk (miss, or no cache at all), a hit, or an
+	// uncached recompute.
 	switch outcome {
 	case outcomeHit:
 		s.m.cacheHits.Inc()
 	case outcomeMiss:
 		s.m.cacheMisses.Inc()
-		s.m.tierServed.With(route, resp.Source).Inc()
+		fallthrough
+	case outcomeOff:
+		s.m.tierServed.With("/predict", p.Source).Inc()
 	case outcomeUncached:
 		s.m.cacheUncached.Inc()
 	}
-	annotatePredict(r.Context(), resp.Tier, resp.Source, outcome.String())
+	annotatePredict(r.Context(), p.Tier, p.Source, outcome.String())
 	writeJSONBytes(w, http.StatusOK, body)
 }
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", "POST")
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
 	queries, err := wire.DecodeBatch(r.Header.Get("Content-Type"), r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	pxs := make([]geo.Pixel, len(queries))
@@ -547,7 +507,7 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, b
 	for i := range preds {
 		if !preds[i].Finite() {
 			s.m.nonFinite.Inc()
-			writeError(w, http.StatusInternalServerError, fmt.Sprintf("query %d: prediction is not finite", i))
+			wire.WriteError(w, http.StatusInternalServerError, fmt.Sprintf("query %d: prediction is not finite", i))
 			return
 		}
 	}
@@ -582,7 +542,7 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, b
 		}
 		if err != nil {
 			batchBufPool.Put(bufp)
-			writeError(w, http.StatusInternalServerError, err.Error())
+			wire.WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
 		w.Header()["Content-Type"] = ct
@@ -592,20 +552,17 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, b
 		batchBufPool.Put(bufp)
 		return
 	}
-	// Render the array with the hand-rolled encoder — byte-identical to
+	// Render the array with the one /predict encoder — byte-identical to
 	// json.Encoder of the response structs — through a pooled buffer.
+	// Every row was checked finite above, so appendPrediction never
+	// returns nil here.
 	bufp := batchBufPool.Get().(*[]byte)
 	b := append((*bufp)[:0], '[')
 	for i := range preds {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		resp := engineResponse(preds[i])
-		if wantIval {
-			b = appendPredictIntervalResponse(b, intervalResponse(resp, bandOf(preds[i])))
-		} else {
-			b = appendPredictResponse(b, resp)
-		}
+		b = appendPrediction(b, preds[i], wantIval)
 	}
 	b = append(b, ']', '\n')
 	writeJSONBytes(w, http.StatusOK, b)
@@ -614,7 +571,8 @@ func (s *Server) finishBatch(w http.ResponseWriter, preds []engine.Prediction, b
 }
 
 // wireCT / wireIvalCT are the shared Content-Type header values of
-// binary batch responses (see jsonCT for why they are shared slices).
+// binary batch responses (see wire.SetJSONType for why they are shared
+// slices).
 var (
 	wireCT     = []string{wire.ContentType}
 	wireIvalCT = []string{wire.ContentTypeIntervals}

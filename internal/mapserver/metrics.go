@@ -46,7 +46,7 @@ type serverMetrics struct {
 	shed        *obs.Counter      // lumos_shed_total (written by withShed)
 
 	// Prediction cache (hit/miss/uncached written by the handler on the
-	// getOrCompute outcome; evictions/abandoned by the cache's hooks).
+	// cache.run outcome; evictions/abandoned by the cache's hooks).
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
 	cacheEvictions *obs.Counter

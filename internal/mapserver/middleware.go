@@ -1,12 +1,11 @@
 package mapserver
 
 import (
-	"bytes"
-	"encoding/json"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"lumos5g/internal/wire"
 )
 
 // Hardening middleware for the map service: the serving path must stay
@@ -15,57 +14,12 @@ import (
 // request timeout, a method filter and a request-size cap, and all
 // errors leave the server as structured JSON.
 
-// apiError is the wire form of every error response.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-// encodePool recycles the JSON staging buffers of writeJSON so the hot
-// serving paths do not grow a fresh encoder buffer per response.
-var encodePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// jsonCT is the Content-Type value shared by every JSON response.
-// Assigning the slice directly (setJSONType) instead of Header().Set
-// avoids the per-request []string{v} allocation Set performs; the slice
-// is never mutated, only replaced wholesale by handlers that set a
-// different type.
-var jsonCT = []string{"application/json"}
-
-func setJSONType(w http.ResponseWriter) {
-	w.Header()["Content-Type"] = jsonCT
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	buf := encodePool.Get().(*bytes.Buffer)
-	buf.Reset()
-	// Encode into the pooled buffer first: the bytes on the wire are the
-	// same as encoding straight into w (Encoder's trailing newline
-	// included), but a marshal failure can still become a clean 500
-	// instead of a torn body.
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		encodePool.Put(buf)
-		setJSONType(w)
-		w.WriteHeader(http.StatusInternalServerError)
-		_, _ = w.Write([]byte(`{"error":"response encoding failed"}` + "\n"))
-		return
-	}
-	setJSONType(w)
-	w.WriteHeader(code)
-	_, _ = w.Write(buf.Bytes())
-	encodePool.Put(buf)
-}
-
 // writeJSONBytes sends a pre-marshalled JSON body (the prediction
 // cache's stored wire form) without re-encoding.
 func writeJSONBytes(w http.ResponseWriter, code int, body []byte) {
-	setJSONType(w)
+	wire.SetJSONType(w)
 	w.WriteHeader(code)
 	_, _ = w.Write(body)
-}
-
-// writeError sends a structured JSON error with the given status.
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, apiError{Error: msg})
 }
 
 // withRecovery converts a handler panic into a 500 JSON error instead of
@@ -77,7 +31,7 @@ func withRecovery(next http.Handler) http.Handler {
 				if rec == http.ErrAbortHandler { // deliberate aborts pass through
 					panic(rec)
 				}
-				writeError(w, http.StatusInternalServerError, "internal server error")
+				wire.WriteError(w, http.StatusInternalServerError, "internal server error")
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -87,7 +41,7 @@ func withRecovery(next http.Handler) http.Handler {
 // withTimeout bounds one request's handler time. http.TimeoutHandler
 // buffers the response and handles the writer race safely; the body it
 // writes on expiry is our JSON error shape, newline-terminated like
-// every other writeJSON response.
+// every other wire.WriteJSON response.
 func withTimeout(next http.Handler, d time.Duration) http.Handler {
 	if d <= 0 {
 		return next
@@ -113,7 +67,7 @@ func withTimeout(next http.Handler, d time.Duration) http.Handler {
 		// success path the inner handler's headers are merged over these
 		// without deleting preset keys, and every route sets its own
 		// Content-Type, so this never leaks onto non-JSON responses.
-		setJSONType(w)
+		wire.SetJSONType(w)
 		th.ServeHTTP(w, r)
 	})
 }
@@ -132,7 +86,7 @@ func withMethodPolicy(next http.Handler, postPaths map[string]bool) http.Handler
 				allow = "GET, HEAD, POST"
 			}
 			w.Header().Set("Allow", allow)
-			writeError(w, http.StatusMethodNotAllowed, "method not allowed")
+			wire.WriteError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
 		next.ServeHTTP(w, r)
@@ -169,7 +123,7 @@ func withShed(next http.Handler, limit int, exempt map[string]bool, onShed func(
 			inFlight.Add(-1)
 			onShed()
 			w.Header().Set("Retry-After", shedRetryAfter)
-			writeError(w, http.StatusServiceUnavailable, "overloaded, retry later")
+			wire.WriteError(w, http.StatusServiceUnavailable, "overloaded, retry later")
 			return
 		}
 		defer inFlight.Add(-1)
