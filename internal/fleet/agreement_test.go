@@ -7,9 +7,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"lumos5g/internal/ingest"
 	"lumos5g/internal/mapserver"
 	"lumos5g/internal/wire"
 )
@@ -175,6 +177,107 @@ func TestFleetBatchLimit(t *testing.T) {
 			if row.Mbps == nil || row.Error != "" {
 				t.Fatalf("row %d failed on a healthy fleet: %+v", i, row)
 			}
+		}
+	}
+}
+
+// TestRouterReplicaIngestAgreement: the router and a replica decode
+// /ingest bodies with the same code under the same byte cap, so every
+// body gets the same status and error from both — and a full-size
+// campaign batch, larger than the historical 1 MiB replica cap, is
+// admitted whole by both rather than refused by the replica and
+// reported back by the router as a failed shard. /predict/batch shares
+// its byte cap across the hops the same way.
+func TestRouterReplicaIngestAgreement(t *testing.T) {
+	cfg := testFleetConfig()
+	cfg.Shards, cfg.Replicas = 1, 1
+	cfg.Ingest = &ingest.Config{}
+	f := startTestFleet(t, cfg)
+	tm, chain, _ := fixture(t)
+	replica, err := mapserver.NewWithChain(tm, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica.AttachIngestor(ingest.New(replica.Metrics(), ingest.Config{}))
+
+	campaign := ingestSamples(t, ingest.MaxBatchSamples)
+	batch := func(n int) []byte {
+		s := make([]ingest.Sample, n)
+		for i := range s {
+			s[i] = campaign[i%len(campaign)]
+		}
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	full := batch(ingest.MaxBatchSamples)
+	if len(full) <= 1<<20 {
+		t.Fatalf("full-size batch is only %d bytes; it must exceed the old 1 MiB cap", len(full))
+	}
+	padded := func(n int) []byte {
+		b := append([]byte("["), bytes.Repeat([]byte(" "), n)...)
+		return append(b, ']')
+	}
+
+	const ing, bat = "/ingest", "/predict/batch"
+	cases := []struct {
+		path, name string
+		body       []byte
+		want       int
+	}{
+		{ing, "malformed", []byte(`[{"lat":`), 400},
+		{ing, "object", []byte(`{"lat":44.88,"lon":-93.21}`), 400},
+		{ing, "wrong field type", []byte(`[{"lat":"north"}]`), 400},
+		{ing, "not json", []byte(`lat=44.88`), 400},
+		{ing, "empty", []byte(`[]`), 400},
+		{ing, "null", []byte(`null`), 400},
+		{ing, "rows over limit", batch(ingest.MaxBatchSamples + 1), 400},
+		{ing, "bytes over limit", padded(ingest.MaxBatchBytes), 400},
+		{bat, "bytes over limit", padded(wire.MaxBatchBytes), 400},
+		{ing, "full-size campaign batch", full, 200},
+	}
+	post := func(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	type answer struct {
+		Error    string         `json:"error"`
+		Partial  bool           `json:"partial"`
+		Accepted int            `json:"accepted"`
+		Rejected int            `json:"rejected"`
+		Dropped  int            `json:"dropped"`
+		Failed   int            `json:"failed"`
+		Reasons  map[string]int `json:"reasons"`
+	}
+	for _, tc := range cases {
+		viaReplica, viaRouter := post(replica, tc.path, tc.body), post(f.Router(), tc.path, tc.body)
+		var a, b answer
+		if err := json.Unmarshal(viaReplica.Body.Bytes(), &a); err != nil {
+			t.Fatalf("%s %s: replica body %.200q: %v", tc.path, tc.name, viaReplica.Body.String(), err)
+		}
+		if err := json.Unmarshal(viaRouter.Body.Bytes(), &b); err != nil {
+			t.Fatalf("%s %s: router body %.200q: %v", tc.path, tc.name, viaRouter.Body.String(), err)
+		}
+		if viaReplica.Code != tc.want || viaRouter.Code != tc.want {
+			t.Errorf("%s %s: replica %d %q, router %d %q, want %d", tc.path, tc.name,
+				viaReplica.Code, a.Error, viaRouter.Code, b.Error, tc.want)
+			continue
+		}
+		if tc.want != http.StatusOK {
+			if a.Error == "" || a.Error != b.Error {
+				t.Errorf("%s %s: replica error %q, router error %q", tc.path, tc.name, a.Error, b.Error)
+			}
+			continue
+		}
+		if b.Partial || b.Failed != 0 || a.Accepted+a.Rejected+a.Dropped != ingest.MaxBatchSamples ||
+			a.Accepted != b.Accepted || a.Rejected != b.Rejected || a.Dropped != b.Dropped ||
+			!reflect.DeepEqual(a.Reasons, b.Reasons) {
+			t.Errorf("%s: replica %+v, router %+v", tc.name, a, b)
 		}
 	}
 }

@@ -138,6 +138,15 @@ func OwnerID(ids []string, col, row int32) string {
 	return best
 }
 
+// replicas lists every replica of every shard.
+func (t *Topology) replicas() []*Replica {
+	var reps []*Replica
+	for _, sh := range t.Shards {
+		reps = append(reps, sh.Replicas...)
+	}
+	return reps
+}
+
 // RankShards orders the topology's shards by routing preference for
 // key k: rendezvous score descending, with draining shards moved to
 // the back (they answer only if every live shard has failed). The

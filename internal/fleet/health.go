@@ -4,9 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"lumos5g/internal/par"
 )
 
 // Failure detection runs on two clocks. The circuit breaker reacts at
@@ -128,17 +129,8 @@ func (p *prober) sweep(ctx context.Context) {
 	if topo == nil {
 		return
 	}
-	var wg sync.WaitGroup
-	for _, sh := range topo.Shards {
-		for _, r := range sh.Replicas {
-			wg.Add(1)
-			go func(r *Replica) {
-				defer wg.Done()
-				p.probe(ctx, r)
-			}(r)
-		}
-	}
-	wg.Wait()
+	reps := topo.replicas()
+	par.Do(len(reps), len(reps), func(i int) { p.probe(ctx, reps[i]) })
 }
 
 func (p *prober) probe(ctx context.Context, r *Replica) {

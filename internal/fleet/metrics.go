@@ -42,7 +42,12 @@ func newRouterMetrics(rt *Router) *routerMetrics {
 		latency: r.NewHistogramVec("fleet_http_request_duration_seconds",
 			"Router end-to-end request latency by route.", obs.DefLatencyBuckets, "route"),
 		attempts: r.NewCounterVec("fleet_attempts_total",
-			"Replica attempts by outcome (success, error, shed).", "outcome"),
+			"Replica attempts by outcome: success (a 200, or a client error "+
+				"every replica would repeat), error (counted against the "+
+				"replica), shed (503 or 429 with Retry-After: the replica is "+
+				"busy, a sibling is tried, its breaker is untouched), or "+
+				"cancelled (the router abandoned it: the client left or a "+
+				"hedge answered first; not counted against the replica).", "outcome"),
 		hedges: r.NewCounter("fleet_hedges_total",
 			"Hedged attempts launched because the previous one stalled."),
 		failovers: r.NewCounter("fleet_failovers_total",
@@ -76,11 +81,9 @@ func newRouterMetrics(rt *Router) *routerMetrics {
 				return 0
 			}
 			var n int
-			for _, sh := range t.Shards {
-				for _, rep := range sh.Replicas {
-					if rep.State() == StateDown {
-						n++
-					}
+			for _, rep := range t.replicas() {
+				if rep.State() == StateDown {
+					n++
 				}
 			}
 			return float64(n)

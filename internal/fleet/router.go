@@ -1,11 +1,7 @@
 package fleet
 
 import (
-	"bytes"
-	"context"
-	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,9 +115,17 @@ func NewRouter(topo *Topology, cfg RouterConfig) *Router {
 	return rt
 }
 
-// Close stops the health prober (joining its goroutine). The router
-// keeps serving with its last-known replica states.
-func (rt *Router) Close() { rt.closeOnce.Do(rt.pb.stop) }
+// Close stops the health prober (joining its goroutine) and closes the
+// idle replica connections: a pooled connection that was dialed but
+// never carried a request would otherwise hold a replica's graceful
+// shutdown for 5 s. The router keeps serving with its last-known
+// replica states.
+func (rt *Router) Close() {
+	rt.closeOnce.Do(func() {
+		rt.pb.stop()
+		rt.client.CloseIdleConnections()
+	})
+}
 
 // Topology returns the current membership generation.
 func (rt *Router) Topology() *Topology { return rt.topo.Load() }
@@ -150,38 +154,11 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		route = "other"
 	}
-	sw := &codeWriter{ResponseWriter: w}
+	sw := &wire.StatusWriter{ResponseWriter: w}
 	start := time.Now()
 	rt.mux.ServeHTTP(sw, r)
-	rt.m.requests.With(route, strconv.Itoa(sw.status())).Inc()
+	rt.m.requests.With(route, wire.StatusLabel(sw.Status())).Inc()
 	rt.m.latency.With(route).Observe(time.Since(start).Seconds())
-}
-
-// codeWriter captures the status the handler sent.
-type codeWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *codeWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *codeWriter) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(p)
-}
-
-func (w *codeWriter) status() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
 }
 
 // jitter draws the actual backoff delay: uniform in [0.5, 1.5) × d,
@@ -200,18 +177,11 @@ type candidate struct {
 	rep   *Replica
 }
 
-// predictCandidates flattens the failover order for one key: the owning
-// shard's replicas first (best replica first), then each fallback
-// shard's. A query only leaves its owner shard when every replica there
-// has failed — cross-shard answers are degraded (the fallback shard
-// lacks the cell's map slice) but they are answers.
-func (rt *Router) predictCandidates(k engine.Key) []candidate {
-	topo := rt.Topology()
-	if topo == nil {
-		return nil
-	}
+// candidatesOf flattens the failover order over shards, in the order
+// given: each shard's replicas, best first.
+func candidatesOf(shards ...*Shard) []candidate {
 	var cands []candidate
-	for _, sh := range topo.RankShards(k) {
+	for _, sh := range shards {
 		for _, rep := range sh.candidates() {
 			cands = append(cands, candidate{shard: sh, rep: rep})
 		}
@@ -219,103 +189,23 @@ func (rt *Router) predictCandidates(k engine.Key) []candidate {
 	return cands
 }
 
-// attemptResult is one replica attempt's outcome.
-type attemptResult struct {
-	cand       candidate
-	status     int
-	body       []byte
-	header     http.Header
-	retryAfter bool
-	err        error
-}
-
-// ok reports a servable success.
-func (a attemptResult) ok() bool { return a.err == nil && a.status == http.StatusOK }
-
-// definitive reports a client-error answer that every replica would
-// repeat (4xx): retrying elsewhere cannot change it, forward as-is.
-func (a attemptResult) definitive() bool {
-	return a.err == nil && a.status >= 400 && a.status < 500
-}
-
-// tryGET runs one replica attempt for a GET route, feeding the breaker
-// and (on transport failure) the replica state.
-func (rt *Router) tryGET(ctx context.Context, c candidate, path, rawQuery string) attemptResult {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
-	defer cancel()
-	url := c.rep.URL + path
-	if rawQuery != "" {
-		url += "?" + rawQuery
+// predictCandidates is the failover order for one key: the owning
+// shard's replicas first, then each fallback shard's. A query only
+// leaves its owner shard when every replica there has failed —
+// cross-shard answers are degraded (the fallback shard lacks the cell's
+// map slice) but they are answers.
+func (rt *Router) predictCandidates(k engine.Key) []candidate {
+	topo := rt.Topology()
+	if topo == nil {
+		return nil
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return attemptResult{cand: c, err: err}
-	}
-	resp, err := rt.client.Do(req)
-	return rt.finishAttempt(c, resp, err)
-}
-
-// tryPOST runs one replica attempt with a JSON body.
-func (rt *Router) tryPOST(ctx context.Context, c candidate, path string, body []byte) attemptResult {
-	return rt.tryPOSTAs(ctx, c, path, body, "application/json", "")
-}
-
-// tryPOSTAs runs one replica attempt with an explicit request media
-// type and, when accept is non-empty, an Accept header asking the
-// replica for that response encoding.
-func (rt *Router) tryPOSTAs(ctx context.Context, c candidate, path string, body []byte, contentType, accept string) attemptResult {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.rep.URL+path, bytes.NewReader(body))
-	if err != nil {
-		return attemptResult{cand: c, err: err}
-	}
-	req.Header.Set("Content-Type", contentType)
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := rt.client.Do(req)
-	return rt.finishAttempt(c, resp, err)
-}
-
-func (rt *Router) finishAttempt(c candidate, resp *http.Response, err error) attemptResult {
-	if err != nil {
-		// Transport failure: the replica is unreachable or stalled. Mark
-		// it down now instead of waiting a probe period; the prober
-		// promotes it back the moment it answers a /healthz.
-		c.rep.bk.failure()
-		c.rep.setState(StateDown)
-		rt.m.attempts.With("error").Inc()
-		return attemptResult{cand: c, err: err}
-	}
-	defer resp.Body.Close()
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if rerr != nil {
-		c.rep.bk.failure()
-		rt.m.attempts.With("error").Inc()
-		return attemptResult{cand: c, err: rerr}
-	}
-	res := attemptResult{cand: c, status: resp.StatusCode, body: body, header: resp.Header,
-		retryAfter: resp.Header.Get("Retry-After") != ""}
-	switch {
-	case res.ok(), res.definitive():
-		c.rep.bk.success()
-		rt.m.attempts.With("success").Inc()
-	case res.status == http.StatusServiceUnavailable && res.retryAfter:
-		// A shed is backpressure, not brokenness: retry elsewhere but do
-		// not poison the breaker — the replica is alive and explicit.
-		rt.m.attempts.With("shed").Inc()
-	default:
-		c.rep.bk.failure()
-		rt.m.attempts.With("error").Inc()
-	}
-	return res
+	return candidatesOf(topo.RankShards(k)...)
 }
 
 // handlePredict is the single-query route: validate, quantize, then
-// run the hedged failover loop over the candidate list until someone
-// answers. The design goal is zero client-visible failures while any
-// replica anywhere can still serve.
+// walk every shard's replicas, owner first, until someone answers. The
+// design goal is zero client-visible failures while any replica
+// anywhere can still serve.
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
@@ -332,96 +222,27 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusServiceUnavailable, "no shards in topology")
 		return
 	}
-	rt.hedgedGET(w, r, cands, "/predict", r.URL.RawQuery)
-}
-
-// hedgedGET is the failover engine shared by /predict: it walks the
-// candidate list launching attempts — the next one fires early when the
-// current one stalls past HedgeDelay (hedge), immediately-ish after a
-// failure (retry, behind capped jittered backoff) — and forwards the
-// first success. First 4xx forwards too: it is the same answer
-// everywhere. Only when every candidate has failed does the client see
-// a 503, with Retry-After when the fleet was shedding rather than dead.
-func (rt *Router) hedgedGET(w http.ResponseWriter, r *http.Request, cands []candidate, path, rawQuery string) {
-	ctx := r.Context()
-	results := make(chan attemptResult, len(cands))
-	next, inFlight := 0, 0
-	launch := func() bool {
-		if next >= len(cands) {
-			return false
+	res, busy := rt.failover(r.Context(), cands, call{method: http.MethodGet, path: "/predict", rawQuery: r.URL.RawQuery})
+	switch res.out {
+	case outOK:
+		wire.SetJSONType(w)
+		w.Header().Set("X-Fleet-Shard", res.cand.shard.ID)
+		w.Header().Set("X-Fleet-Replica", res.cand.rep.ID)
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(res.body)
+	case outDefinitive:
+		// A client error every replica would repeat: forward it as-is.
+		if ct := res.header.Get("Content-Type"); ct != "" {
+			w.Header().Set("Content-Type", ct)
 		}
-		c := cands[next]
-		next++
-		inFlight++
-		go func() { results <- rt.tryGET(ctx, c, path, rawQuery) }()
-		return true
-	}
-	launch()
-
-	hedge := time.NewTimer(rt.cfg.HedgeDelay)
-	defer hedge.Stop()
-	var retryTimer *time.Timer
-	defer func() {
-		if retryTimer != nil {
-			retryTimer.Stop()
+		w.WriteHeader(res.status)
+		_, _ = w.Write(res.body)
+	case outCancelled:
+		wire.WriteError(w, http.StatusServiceUnavailable, "request cancelled")
+	default:
+		if busy {
+			w.Header().Set("Retry-After", "1")
 		}
-	}()
-	var retryC <-chan time.Time
-	delay := rt.cfg.RetryBase
-	sawShed := false
-
-	for {
-		select {
-		case <-ctx.Done():
-			wire.WriteError(w, http.StatusServiceUnavailable, "request cancelled")
-			return
-		case <-hedge.C:
-			if launch() {
-				rt.m.hedges.Inc()
-				hedge.Reset(rt.cfg.HedgeDelay)
-			}
-		case <-retryC:
-			retryC = nil
-			launch()
-		case res := <-results:
-			inFlight--
-			if res.ok() {
-				if res.cand.rep != cands[0].rep {
-					rt.m.failovers.Inc()
-				}
-				wire.SetJSONType(w)
-				w.Header().Set("X-Fleet-Shard", res.cand.shard.ID)
-				w.Header().Set("X-Fleet-Replica", res.cand.rep.ID)
-				w.WriteHeader(http.StatusOK)
-				_, _ = w.Write(res.body)
-				return
-			}
-			if res.definitive() {
-				if ct := res.header.Get("Content-Type"); ct != "" {
-					w.Header().Set("Content-Type", ct)
-				}
-				w.WriteHeader(res.status)
-				_, _ = w.Write(res.body)
-				return
-			}
-			if res.retryAfter {
-				sawShed = true
-			}
-			if next < len(cands) {
-				if retryC == nil {
-					retryTimer = time.NewTimer(rt.jitter(delay))
-					retryC = retryTimer.C
-					if delay *= 2; delay > rt.cfg.RetryMax {
-						delay = rt.cfg.RetryMax
-					}
-				}
-			} else if inFlight == 0 {
-				if sawShed {
-					w.Header().Set("Retry-After", "1")
-				}
-				wire.WriteError(w, http.StatusServiceUnavailable, "no replica could serve the query")
-				return
-			}
-		}
+		wire.WriteError(w, http.StatusServiceUnavailable, "no replica could serve the query")
 	}
 }

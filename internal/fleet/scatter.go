@@ -2,15 +2,14 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
-	"sync"
-	"time"
 
 	"lumos5g/internal/obs"
+	"lumos5g/internal/par"
 	"lumos5g/internal/wire"
 )
 
@@ -51,43 +50,22 @@ type BatchResponse struct {
 	Rows    []BatchRow `json:"rows"`
 }
 
-// shardTry walks one shard's replicas in candidate order until one
-// serves, with the same backoff discipline as the single-query path but
-// no cross-shard failover.
-func (rt *Router) shardTry(ctx context.Context, sh *Shard, attempt func(candidate) attemptResult) attemptResult {
-	cands := sh.candidates()
-	if len(cands) == 0 {
-		return attemptResult{err: fmt.Errorf("shard %s has no replicas", sh.ID)}
-	}
-	delay := rt.cfg.RetryBase
-	var last attemptResult
-	for i, rep := range cands {
-		if i > 0 {
-			if !sleepCtx(ctx, rt.jitter(delay)) {
-				return last
-			}
-			if delay *= 2; delay > rt.cfg.RetryMax {
-				delay = rt.cfg.RetryMax
-			}
+// groupByShard partitions the indices [0, n) by owning shard, shards in
+// first-seen order, for the index-disjoint fan-outs below.
+func groupByShard(n int, owner func(i int) *Shard) (shards []*Shard, groups [][]int) {
+	pos := make(map[*Shard]int)
+	for i := 0; i < n; i++ {
+		sh := owner(i)
+		p, seen := pos[sh]
+		if !seen {
+			p = len(shards)
+			pos[sh] = p
+			shards = append(shards, sh)
+			groups = append(groups, nil)
 		}
-		last = attempt(candidate{shard: sh, rep: rep})
-		if last.ok() || last.definitive() {
-			return last
-		}
+		groups[p] = append(groups[p], i)
 	}
-	return last
-}
-
-// sleepCtx sleeps d unless ctx ends first; reports whether it slept out.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
+	return shards, groups
 }
 
 // handleBatch scatters the batch across owning shards and gathers an
@@ -109,7 +87,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusServiceUnavailable, "no shards in topology")
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, 16<<20)
+	r.Body = http.MaxBytesReader(w, r.Body, wire.MaxBatchBytes)
 	// The replicas' own decoder: a bad row or an oversized batch is
 	// rejected here, instead of failing one shard's whole sub-batch
 	// downstream.
@@ -129,67 +107,49 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		subAccept = wire.ContentTypeIntervals
 	}
 
-	// Group row indices by owning shard (rendezvous on the cell). The
-	// gather keeps the answer type: one wire.Result per row, plus its
-	// owning shard and, for rows of a failed shard, the failure reason.
-	// BatchRows exist only for the JSON envelope.
-	byShard := make(map[*Shard][]int)
-	shardOf := make([]string, len(queries))
-	for i, q := range queries {
-		k := RouteKey(q.Lat, q.Lon, q.Speed, q.Bearing)
-		sh := topo.Owner(k)
-		byShard[sh] = append(byShard[sh], i)
-		shardOf[i] = sh.ID
-	}
-
+	// Scatter by owning shard (rendezvous on the cell). The gather keeps
+	// the answer type: one wire.Result per row, plus its owning shard
+	// and, for rows of a failed shard, the failure reason. BatchRows
+	// exist only for the JSON envelope.
+	shards, groups := groupByShard(len(queries), func(i int) *Shard {
+		return topo.Owner(RouteKey(queries[i].Lat, queries[i].Lon, queries[i].Speed, queries[i].Bearing))
+	})
 	results := make([]wire.Result, len(queries))
+	shardOf := make([]string, len(queries))
 	failed := make([]string, len(queries)) // "" = served
-
-	var mu sync.Mutex // guards partial; results are index-disjoint per shard
-	partial := false
-	var wg sync.WaitGroup
-	for sh, idxs := range byShard {
-		wg.Add(1)
-		go func(sh *Shard, idxs []int) {
-			defer wg.Done()
-			sub := make([]wire.Query, len(idxs))
-			for j, i := range idxs {
-				sub[j] = queries[i]
+	shardFailed := make([]bool, len(shards))
+	par.Do(len(shards), len(shards), func(s int) {
+		sh, idxs := shards[s], groups[s]
+		sub := make([]wire.Query, len(idxs))
+		for j, i := range idxs {
+			sub[j] = queries[i]
+			shardOf[i] = sh.ID
+		}
+		res, _ := rt.failover(r.Context(), candidatesOf(sh), call{method: http.MethodPost, path: "/predict/batch",
+			body: wire.AppendQueries(nil, sub), contentType: wire.ContentType, accept: subAccept})
+		var served []wire.Result
+		ok := res.out == outOK
+		if ok {
+			var derr error
+			served, derr = wire.DecodeResults(res.body, len(idxs))
+			ok = derr == nil && len(served) == len(idxs)
+		}
+		if !ok {
+			shardFailed[s] = true
+			reason, missing := shardFailureReason(sh, res), []string{"shard:" + sh.ID}
+			for _, i := range idxs {
+				results[i] = wire.Result{Tier: -1, Degraded: true, Missing: missing}
+				failed[i] = reason
 			}
-			body := wire.AppendQueries(nil, sub)
-			res := rt.shardTry(r.Context(), sh, func(c candidate) attemptResult {
-				return rt.tryPOSTAs(r.Context(), c, "/predict/batch", body,
-					wire.ContentType, subAccept)
-			})
-			var served []wire.Result
-			ok := res.ok()
-			if ok {
-				var err error
-				served, err = wire.DecodeResults(res.body, len(idxs))
-				if err != nil || len(served) != len(idxs) {
-					ok = false
-				}
-			}
-			if !ok {
-				reason := shardFailureReason(sh, res)
-				for _, i := range idxs {
-					results[i] = wire.Result{Tier: -1, Degraded: true, Missing: []string{"shard:" + sh.ID}}
-					failed[i] = reason
-					rt.m.batchRows.With("failed").Inc()
-				}
-				mu.Lock()
-				partial = true
-				mu.Unlock()
-				return
-			}
-			for j, i := range idxs {
-				results[i] = served[j]
-				rt.m.batchRows.With("served").Inc()
-			}
-		}(sh, idxs)
-	}
-	wg.Wait()
-
+			rt.m.batchRows.With("failed").Add(uint64(len(idxs)))
+			return
+		}
+		for j, i := range idxs {
+			results[i] = served[j]
+		}
+		rt.m.batchRows.With("served").Add(uint64(len(idxs)))
+	})
+	partial := slices.Contains(shardFailed, true)
 	if partial {
 		rt.m.partials.Inc()
 	}
@@ -267,42 +227,22 @@ func (rt *Router) handleCells(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusServiceUnavailable, "no shards in topology")
 		return
 	}
-	type shardCells struct {
-		id    string
-		cells []cellJSON
-		err   error
-	}
-	out := make([]shardCells, len(topo.Shards))
-	var wg sync.WaitGroup
-	for i, sh := range topo.Shards {
-		wg.Add(1)
-		go func(i int, sh *Shard) {
-			defer wg.Done()
-			res := rt.shardTry(r.Context(), sh, func(c candidate) attemptResult {
-				return rt.tryGET(r.Context(), c, "/cells.json", "")
-			})
-			if !res.ok() {
-				out[i] = shardCells{id: sh.ID, err: fmt.Errorf("%s", shardFailureReason(sh, res))}
-				return
-			}
-			var cells []cellJSON
-			if err := json.Unmarshal(res.body, &cells); err != nil {
-				out[i] = shardCells{id: sh.ID, err: fmt.Errorf("shard %s: undecodable cells", sh.ID)}
-				return
-			}
-			out[i] = shardCells{id: sh.ID, cells: cells}
-		}(i, sh)
-	}
-	wg.Wait()
+	n := len(topo.Shards)
+	cells := make([][]cellJSON, n)
+	failed := make([]bool, n)
+	par.Do(n, n, func(i int) {
+		res, _ := rt.failover(r.Context(), candidatesOf(topo.Shards[i]), call{method: http.MethodGet, path: "/cells.json"})
+		failed[i] = res.out != outOK || json.Unmarshal(res.body, &cells[i]) != nil
+	})
 
 	resp := CellsResponse{Cells: []cellJSON{}}
-	for _, sc := range out {
-		if sc.err != nil {
+	for i, sh := range topo.Shards {
+		if failed[i] {
 			resp.Partial = true
-			resp.Missing = append(resp.Missing, sc.id)
+			resp.Missing = append(resp.Missing, sh.ID)
 			continue
 		}
-		resp.Cells = append(resp.Cells, sc.cells...)
+		resp.Cells = append(resp.Cells, cells[i]...)
 	}
 	sort.Strings(resp.Missing)
 	if resp.Partial {
@@ -369,36 +309,15 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if topo == nil {
 		return
 	}
-	type scrape struct {
-		body []byte
-		err  error
-	}
-	var reps []*Replica
-	for _, sh := range topo.Shards {
-		reps = append(reps, sh.Replicas...)
-	}
-	scrapes := make([]scrape, len(reps))
-	var wg sync.WaitGroup
-	for i, rep := range reps {
-		wg.Add(1)
-		go func(i int, rep *Replica) {
-			defer wg.Done()
-			res := rt.tryGET(r.Context(), candidate{rep: rep, shard: &Shard{}}, "/metrics", "")
-			if !res.ok() {
-				scrapes[i] = scrape{err: res.err}
-				if res.err == nil {
-					scrapes[i].err = fmt.Errorf("status %d", res.status)
-				}
-				return
-			}
-			scrapes[i] = scrape{body: res.body}
-		}(i, rep)
-	}
-	wg.Wait()
+	reps := topo.replicas()
+	scrapes := make([]attemptResult, len(reps))
+	par.Do(len(reps), len(reps), func(i int) {
+		scrapes[i] = rt.attempt(r.Context(), candidate{rep: reps[i]}, call{method: http.MethodGet, path: "/metrics"})
+	})
 
 	ru := newRollup()
 	for _, sc := range scrapes {
-		if sc.err != nil {
+		if sc.out != outOK {
 			rt.m.rollupErrors.Inc()
 			continue
 		}

@@ -233,7 +233,7 @@ func (f *Fleet) supervise(r *supReplica, ln net.Listener) {
 				_ = ln.Close()
 				ln = nil
 			}
-			if !sleepCtx(f.ctx, 10*time.Millisecond) {
+			if !f.pause(10 * time.Millisecond) {
 				return
 			}
 			continue
@@ -244,7 +244,7 @@ func (f *Fleet) supervise(r *supReplica, ln net.Listener) {
 			if err != nil {
 				// The pinned port is briefly unavailable (a dying server's
 				// listener not fully gone): back off and retry.
-				if !sleepCtx(f.ctx, r.jitter(delay)) {
+				if !f.pause(r.jitter(delay)) {
 					return
 				}
 				if delay *= 2; delay > f.cfg.RestartMax {
@@ -265,12 +265,25 @@ func (f *Fleet) supervise(r *supReplica, ln net.Listener) {
 		if time.Since(started) > time.Second {
 			delay = f.cfg.RestartBase // it ran healthily; this is not a crash loop
 		}
-		if !sleepCtx(f.ctx, r.jitter(delay)) {
+		if !f.pause(r.jitter(delay)) {
 			return
 		}
 		if delay *= 2; delay > f.cfg.RestartMax {
 			delay = f.cfg.RestartMax
 		}
+	}
+}
+
+// pause sleeps d unless the fleet shuts down first; it reports whether
+// the fleet is still running.
+func (f *Fleet) pause(d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-f.ctx.Done():
+		return false
+	case <-t.C:
+		return true
 	}
 }
 

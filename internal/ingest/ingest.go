@@ -17,7 +17,9 @@ package ingest
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sync"
@@ -32,6 +34,34 @@ import (
 // MaxBatchSamples bounds one POST /ingest body, mirroring the
 // /predict/batch cap so a single request cannot monopolise the queue.
 const MaxBatchSamples = 4096
+
+// maxSampleBytes bounds the JSON size of one uploaded sample. A
+// campaign row with every sensor set encodes to under 500 bytes; the
+// rest is room for long trace names and verbose number formatting.
+const maxSampleBytes = 1 << 10
+
+// MaxBatchBytes caps one /ingest request body at every hop (replica
+// and router): MaxBatchSamples full-size samples, so it is the row
+// limit, not the byte cap, that turns an honest batch away.
+const MaxBatchBytes = MaxBatchSamples * maxSampleBytes
+
+// DecodeBatch reads a POST /ingest body — a JSON array of 1 to
+// MaxBatchSamples samples — for both the replica and the fleet router,
+// so one body gets the same status and message at either hop. Every
+// error is the client's.
+func DecodeBatch(body io.Reader) ([]Sample, error) {
+	var samples []Sample
+	if err := json.NewDecoder(body).Decode(&samples); err != nil {
+		return nil, errors.New("body must be a JSON array of samples: " + err.Error())
+	}
+	if len(samples) == 0 {
+		return nil, errors.New("empty batch")
+	}
+	if len(samples) > MaxBatchSamples {
+		return nil, fmt.Errorf("batch of %d samples exceeds limit %d", len(samples), MaxBatchSamples)
+	}
+	return samples, nil
+}
 
 // Sample is the wire form of one per-second Table-1 measurement.
 // Required fields are pointers so "absent" is distinguishable from a
@@ -200,27 +230,19 @@ func (ing *Ingestor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var samples []Sample
-	if err := json.NewDecoder(r.Body).Decode(&samples); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, "body must be a JSON array of samples: "+err.Error())
-		return
-	}
-	if len(samples) == 0 {
-		wire.WriteError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(samples) > MaxBatchSamples {
-		wire.WriteError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d samples exceeds limit %d", len(samples), MaxBatchSamples))
+	samples, err := DecodeBatch(r.Body)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ing.m.batches.Inc()
 	res := ing.Ingest(samples)
 	if res.Dropped > 0 && res.Accepted == 0 {
 		// Nothing fit: whole-batch backpressure. 429 tells the UE the
-		// server is healthy but saturated; Retry-After matches the
-		// shed middleware's convention so fleet retry logic treats
-		// both identically.
+		// server is healthy but saturated. The Retry-After is what makes
+		// it "busy" to the fleet router, exactly like the shed
+		// middleware's 503: the router tries a sibling replica and
+		// leaves this one's breaker alone.
 		w.Header().Set("Retry-After", "1")
 		wire.WriteJSON(w, http.StatusTooManyRequests, res)
 		return

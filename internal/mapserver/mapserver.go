@@ -99,7 +99,10 @@ func WithRequestTimeout(d time.Duration) Option {
 	return func(o *options) { o.timeout = d }
 }
 
-// WithMaxRequestBytes caps request body size (default 1 MiB).
+// WithMaxRequestBytes caps every request body at n bytes, overriding
+// the per-route defaults (wire.MaxBatchBytes for /predict/batch,
+// ingest.MaxBatchBytes for /ingest — the caps the fleet router applies
+// too). n <= 0 keeps the defaults.
 func WithMaxRequestBytes(n int64) Option {
 	return func(o *options) { o.maxBytes = n }
 }
@@ -173,7 +176,7 @@ func NewWithChain(tm *lumos5g.ThroughputMap, chain *lumos5g.FallbackChain, opts 
 	if err != nil {
 		return nil, fmt.Errorf("mapserver: %w", err)
 	}
-	o := options{timeout: 10 * time.Second, maxBytes: 1 << 20, cacheSize: defaultPredictCacheSize, metricsRoute: true}
+	o := options{timeout: 10 * time.Second, cacheSize: defaultPredictCacheSize, metricsRoute: true}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -200,8 +203,11 @@ func NewWithChain(tm *lumos5g.ThroughputMap, chain *lumos5g.FallbackChain, opts 
 	// Recovery comes next: http.TimeoutHandler re-raises handler panics
 	// on the caller goroutine, so the recover catches both direct and
 	// timed-out panics.
-	postPaths := map[string]bool{"/predict/batch": true, "/ingest": true}
-	h := withRecovery(withTimeout(withMethodPolicy(withMaxBytes(s.mux, o.maxBytes), postPaths), o.timeout))
+	// The POST routes, each with its default body cap: the byte size of
+	// its largest batch, the cap the fleet router applies too, so a
+	// batch one hop admits the other admits.
+	postCaps := map[string]int64{"/predict/batch": wire.MaxBatchBytes, "/ingest": ingest.MaxBatchBytes}
+	h := withRecovery(withTimeout(withMethodPolicy(withMaxBytes(s.mux, postCaps, o.maxBytes), postCaps), o.timeout))
 	h = withShed(h, o.maxInFlight, shedExempt, s.m.shed.Inc)
 	s.h = s.withObs(h)
 	return s, nil

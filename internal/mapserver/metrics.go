@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"lumos5g/internal/obs"
+	"lumos5g/internal/wire"
 )
 
 // serverMetrics is the instrument set of one Server.
@@ -91,7 +92,7 @@ func (m *serverMetrics) requestCounter(route string, code int) *obs.Counter {
 	if c != nil {
 		return c
 	}
-	c = m.requests.With(route, statusLabel(code))
+	c = m.requests.With(route, wire.StatusLabel(code))
 	m.childMu.Lock()
 	m.reqChildren[k] = c
 	m.childMu.Unlock()
@@ -112,29 +113,6 @@ func (m *serverMetrics) routeInstruments(route string) *routeInstruments {
 	m.routeObs[route] = ri
 	m.childMu.Unlock()
 	return ri
-}
-
-// statusLabel renders an HTTP status code as its metrics label without
-// allocating for the codes this server actually produces
-// (strconv.Itoa only caches values below 100).
-func statusLabel(code int) string {
-	switch code {
-	case http.StatusOK:
-		return "200"
-	case http.StatusBadRequest:
-		return "400"
-	case http.StatusNotFound:
-		return "404"
-	case http.StatusMethodNotAllowed:
-		return "405"
-	case http.StatusRequestEntityTooLarge:
-		return "413"
-	case http.StatusInternalServerError:
-		return "500"
-	case http.StatusServiceUnavailable:
-		return "503"
-	}
-	return strconv.Itoa(code)
 }
 
 func newServerMetrics(s *Server) *serverMetrics {
@@ -212,40 +190,6 @@ func normalizeRoute(path string) string {
 	return "other"
 }
 
-// statusWriter captures the status code and body size a handler (or the
-// timeout/recovery middleware above it) actually sent.
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	bytes int64
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
-// Unwrap lets http.ResponseController reach the underlying writer.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-func (w *statusWriter) status() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
-}
-
 // reqIDSeq numbers requests within the process; the prefix (process
 // start time in base36) keeps IDs from different server lifetimes
 // distinct in aggregated logs.
@@ -307,12 +251,12 @@ type accessLogLine struct {
 	Cache  string  `json:"cache,omitempty"`
 }
 
-// swPool recycles the statusWriter wrappers of withObs. A wrapper is
+// swPool recycles the wire.StatusWriter wrappers of withObs. A wrapper is
 // only ever referenced synchronously below withObs in the middleware
 // stack (http.TimeoutHandler hands its inner handler a separate
 // buffered writer), so returning it to the pool after the counters are
 // recorded is safe.
-var swPool = sync.Pool{New: func() any { return new(statusWriter) }}
+var swPool = sync.Pool{New: func() any { return new(wire.StatusWriter) }}
 
 // withObs is the outermost middleware: it counts and times every
 // request (including the 500s and 503s manufactured by the recovery and
@@ -324,8 +268,8 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		ri.inflight.Add(1)
 		defer ri.inflight.Add(-1)
 
-		sw := swPool.Get().(*statusWriter)
-		sw.ResponseWriter, sw.code, sw.bytes = w, 0, 0
+		sw := swPool.Get().(*wire.StatusWriter)
+		sw.ResponseWriter, sw.Code, sw.Bytes = w, 0, 0
 		var lg *reqLog
 		if s.logw != nil {
 			lg = &reqLog{id: nextRequestID(), tier: -2}
@@ -336,7 +280,7 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		next.ServeHTTP(sw, r)
 		dur := time.Since(start)
 
-		code, bytes := sw.status(), sw.bytes
+		code, bytes := sw.Status(), sw.Bytes
 		sw.ResponseWriter = nil
 		swPool.Put(sw)
 		s.m.requestCounter(normalizeRoute(r.URL.Path), code).Inc()

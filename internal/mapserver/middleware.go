@@ -73,16 +73,17 @@ func withTimeout(next http.Handler, d time.Duration) http.Handler {
 }
 
 // withMethodPolicy rejects anything but GET/HEAD — the service mostly
-// publishes artifacts — except for an allowlist of POST-able paths (the
-// batch prediction endpoint accepts a JSON body).
-func withMethodPolicy(next http.Handler, postPaths map[string]bool) http.Handler {
+// publishes artifacts — except on the POST-able paths postCaps lists
+// (batch prediction and ingest take a body).
+func withMethodPolicy(next http.Handler, postCaps map[string]int64) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, post := postCaps[r.URL.Path]
 		switch {
 		case r.Method == http.MethodGet || r.Method == http.MethodHead:
-		case r.Method == http.MethodPost && postPaths[r.URL.Path]:
+		case r.Method == http.MethodPost && post:
 		default:
 			allow := "GET, HEAD"
-			if postPaths[r.URL.Path] {
+			if post {
 				allow = "GET, HEAD, POST"
 			}
 			w.Header().Set("Allow", allow)
@@ -132,16 +133,19 @@ func withShed(next http.Handler, limit int, exempt map[string]bool, onShed func(
 }
 
 // withMaxBytes caps request bodies so a misbehaving client cannot stream
-// an unbounded payload at a read-only service.
-func withMaxBytes(next http.Handler, n int64) http.Handler {
-	if n <= 0 {
-		return next
-	}
+// an unbounded payload: override when positive, else the path's cap in
+// postCaps. Paths without a cap take no body (the method policy turns
+// their non-GET requests away).
+func withMaxBytes(next http.Handler, postCaps map[string]int64, override int64) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// GET/HEAD bodies are never read by any handler, so skip the
 		// per-request MaxBytesReader wrapper on those methods (it is one
 		// allocation on the hot /predict path for a body nobody touches).
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
+			n := override
+			if n <= 0 {
+				n = postCaps[r.URL.Path]
+			}
 			r.Body = http.MaxBytesReader(w, r.Body, n)
 		}
 		next.ServeHTTP(w, r)

@@ -56,7 +56,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"unsafe"
 
 	"lumos5g/internal/ml/tree"
@@ -587,14 +586,12 @@ func (e *Ensemble) predictIntoRaw(X [][]float64, out []float64, lo, hi int) {
 	}
 }
 
-// batchScratch is one block's bin buffer. Pooled so steady-state batch
-// prediction does not allocate, and safe under concurrent
-// disjoint-range PredictInto.
-type batchScratch struct {
-	q []uint8 // bins, row-major: q[r*nf+f]
-}
-
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+// stackFeatures is the widest model whose block bin buffer lives on the
+// stack (blockRows × stackFeatures bytes, 8 KiB). Every serving model
+// fits — the feature vector has 21 columns — so batch prediction
+// allocates nothing per call, whatever the scheduler or the race
+// detector does. Wider models allocate their buffer once per call.
+const stackFeatures = 32
 
 // predictIntoQuantized bins each row once per block (feature-outer, so
 // one feature's edge array stays hot across the block; the bins store
@@ -617,11 +614,11 @@ func (e *Ensemble) predictIntoQuantized(X [][]float64, out []float64, lo, hi int
 	nTrees := len(e.treeOff)
 	scale := e.scale
 	var acc [blockRows]float64
-	sc := batchScratchPool.Get().(*batchScratch)
-	if cap(sc.q) < nf*blockRows {
-		sc.q = make([]uint8, nf*blockRows)
+	var qbuf [blockRows * stackFeatures]uint8
+	q := qbuf[:] // bins, row-major: q[r*nf+f]
+	if nf > stackFeatures {
+		q = make([]uint8, nf*blockRows)
 	}
-	q := sc.q[:nf*blockRows]
 	for b := lo; b < hi; b += blockRows {
 		n := hi - b
 		if n > blockRows {
@@ -703,7 +700,6 @@ func (e *Ensemble) predictIntoQuantized(X [][]float64, out []float64, lo, hi int
 		}
 		e.flush(acc[:n], out[b:b+n])
 	}
-	batchScratchPool.Put(sc)
 }
 
 // flush finalises one block of accumulators into the output slice.

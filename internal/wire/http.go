@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"sync"
 )
 
 // JSON responses shared by every serving surface — the map server, the
 // fleet router and the ingest endpoint — so a success body and an error
 // body ({"error":"..."} plus json.Encoder's trailing newline) are
-// rendered one way everywhere.
+// rendered one way everywhere, and the status-capturing writer both
+// hops count requests through.
 
 // apiError is the wire form of every error response.
 type apiError struct {
@@ -59,4 +61,66 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 // given status.
 func WriteError(w http.ResponseWriter, code int, msg string) {
 	WriteJSON(w, code, apiError{Error: msg})
+}
+
+// StatusWriter records the status code and body size a handler (or the
+// middleware beneath it) actually sent, for the request counters and
+// access logs of both hops.
+type StatusWriter struct {
+	http.ResponseWriter
+	Code  int   // first status sent; 0 until the handler writes
+	Bytes int64 // body bytes written
+}
+
+func (w *StatusWriter) WriteHeader(code int) {
+	if w.Code == 0 {
+		w.Code = code
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *StatusWriter) Write(p []byte) (int, error) {
+	if w.Code == 0 {
+		w.Code = http.StatusOK
+	}
+	n, err := w.ResponseWriter.Write(p)
+	w.Bytes += int64(n)
+	return n, err
+}
+
+// Unwrap lets http.ResponseController reach the underlying writer.
+func (w *StatusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// Status is the status the client saw: 200 when the handler wrote
+// nothing at all.
+func (w *StatusWriter) Status() int {
+	if w.Code == 0 {
+		return http.StatusOK
+	}
+	return w.Code
+}
+
+// StatusLabel renders an HTTP status code as its metrics label without
+// allocating for the codes the serving hops produce (strconv.Itoa only
+// caches values below 100).
+func StatusLabel(code int) string {
+	switch code {
+	case http.StatusOK:
+		return "200"
+	case http.StatusBadRequest:
+		return "400"
+	case http.StatusNotFound:
+		return "404"
+	case http.StatusMethodNotAllowed:
+		return "405"
+	case http.StatusRequestEntityTooLarge:
+		return "413"
+	case http.StatusTooManyRequests:
+		return "429"
+	case http.StatusInternalServerError:
+		return "500"
+	case http.StatusServiceUnavailable:
+		return "503"
+	}
+	return strconv.Itoa(code)
 }

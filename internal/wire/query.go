@@ -23,6 +23,15 @@ import (
 // can exceed a replica's limit.
 const MaxBatchQueries = 4096
 
+// maxQueryBytes bounds the JSON size of one batch row: four fields at
+// full float64 precision need about 110 bytes. Binary rows are smaller.
+const maxQueryBytes = 256
+
+// MaxBatchBytes caps one /predict/batch request body at every hop
+// (replica and router): MaxBatchQueries full-size rows, so it is the
+// row limit, not the byte cap, that turns an honest batch away.
+const MaxBatchBytes = MaxBatchQueries * maxQueryBytes
+
 // The query bounds are the storable ranges of the matching record
 // fields — dataset's validity table, shared with the CSV loaders and
 // the ingest gate — so an accepted query is a position the ingest gate
